@@ -30,10 +30,19 @@ missing batch; a hit charges nothing. Rejected oversized specs are
 negative-cached so a hot unservable spec does not pay a full CSR build
 on every probe; the cache clears when the budget changes or the spec
 is mutated (either can change the verdict).
+
+Ownership runs one way: the registry owns its entries, an entry owns
+its :class:`EngineSlots`, and no entry or slot strongly references its
+owner. The byte-change callbacks pointing back up (slot → entry, entry
+→ registry) are held as :class:`weakref.WeakMethod`, so a retired graph
+version — CSR arrays, warm engines, level cache — or a dropped registry
+is freed by reference counting the moment its last user lets go, not
+at the next cyclic-GC pass.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
@@ -42,7 +51,7 @@ import numpy as np
 
 from repro.errors import GraphTooLargeError, MutationError
 from repro.graph.csr import CSRGraph
-from repro.graph.delta import GraphDelta, apply_delta
+from repro.graph.delta import GraphDelta, apply_delta, apply_delta_reference
 
 __all__ = [
     "GraphRegistry",
@@ -83,13 +92,19 @@ class EngineSlots(dict):
     registry's running total. Charges are frozen at attach time so a
     lazily-growing engine (XBFS building its reverse graph on first
     bottom-up level) cannot desync the O(1) total from the O(n) ground
-    truth.
+    truth. ``notify`` is a bound method held weakly (see the module
+    docstring), so the slots never keep their entry alive.
     """
 
     def __init__(self, notify: Callable[[int], None]) -> None:
         super().__init__()
-        self._notify = notify
+        self._notify_ref = weakref.WeakMethod(notify)
         self._charged: dict = {}
+
+    def _notify(self, delta: int) -> None:
+        notify = self._notify_ref()
+        if notify is not None:
+            notify(delta)
 
     @property
     def charged_bytes(self) -> int:
@@ -168,7 +183,8 @@ class RegistryEntry:
     engines: EngineSlots = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        self._on_bytes: Callable[["RegistryEntry", int], None] | None = None
+        #: Weak reference to the owning registry's byte-change callback.
+        self._on_bytes: weakref.WeakMethod | None = None
         #: source -> (graph version the levels are exact for, int32 levels)
         self._levels: "OrderedDict[int, tuple[int, np.ndarray]]" = OrderedDict()
         self._level_bytes = 0
@@ -180,7 +196,7 @@ class RegistryEntry:
             self.engines = slots
 
     def _bytes_changed(self, delta: int) -> None:
-        cb = self._on_bytes
+        cb = self._on_bytes() if self._on_bytes is not None else None
         if cb is not None:
             cb(self, delta)
 
@@ -272,7 +288,9 @@ class GraphRegistry:
         self._memory_budget_bytes = int(memory_budget_bytes)
         self.scale_factor = scale_factor
         self.seed = seed
-        self._builder = builder or self._default_builder
+        #: ``None`` resolves specs with :meth:`_default_builder` (kept
+        #: unbound here: a stored bound method would be a self-cycle).
+        self._builder = builder
         self._entries: OrderedDict[str, RegistryEntry] = OrderedDict()
         #: Running byte total of every cached entry, updated on insert,
         #: evict and engine/level attach — eviction loops must stay
@@ -303,6 +321,12 @@ class GraphRegistry:
         return parse_graph_spec(
             spec, scale_factor=self.scale_factor, seed=self.seed
         )
+
+    def _base(self, spec: str) -> CSRGraph:
+        """The version-0 build of ``spec``."""
+        if self._builder is None:
+            return self._default_builder(spec)
+        return self._builder(spec)
 
     # ------------------------------------------------------------------
     @property
@@ -354,8 +378,11 @@ class GraphRegistry:
 
     def graph_at_version(self, spec: str, version: int) -> CSRGraph:
         """Reconstruct ``spec`` as it stood at ``version``: the base
-        build plus the delta-log prefix. Bypasses the cache and charges
-        nothing — an oracle hook for validators, not a serving path."""
+        build plus the delta-log prefix, each delta rebuilt from scratch
+        with :func:`~repro.graph.delta.apply_delta_reference` rather than
+        spliced, so the oracle shares no code with the serving path.
+        Bypasses the cache and charges nothing — a hook for validators,
+        not a serving path."""
         version = int(version)
         log = self._delta_logs.get(spec, ())
         if not 0 <= version <= len(log):
@@ -363,15 +390,15 @@ class GraphRegistry:
                 f"graph {spec!r} has no version {version}; "
                 f"log holds versions 0..{len(log)}"
             )
-        graph = self._builder(spec)
+        graph = self._base(spec)
         for delta in log[:version]:
-            graph = apply_delta(graph, delta)
+            graph = apply_delta_reference(graph, delta)
         return graph
 
     # ------------------------------------------------------------------
     def _build(self, spec: str) -> CSRGraph:
         """Base build plus full delta-log replay → current version."""
-        graph = self._builder(spec)
+        graph = self._base(spec)
         for delta in self._delta_logs.get(spec, ()):
             graph = apply_delta(graph, delta)
         return graph
@@ -395,7 +422,7 @@ class GraphRegistry:
         self._evict_for(entry.memory_bytes)
         self._entries[entry.key] = entry
         self._bytes_cached += entry.memory_bytes
-        entry._on_bytes = self._entry_bytes_changed
+        entry._on_bytes = weakref.WeakMethod(self._entry_bytes_changed)
 
     def _retire(self, entry: RegistryEntry) -> None:
         """Mark ``entry`` dead and drop its warm state (uncharged)."""

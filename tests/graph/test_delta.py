@@ -37,6 +37,33 @@ class TestGraphDelta:
         with pytest.raises(MutationError, match="negative"):
             GraphDelta(inserts=((-1, 2),))
 
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            {"insert": [[1]]},
+            {"insert": [[1, 2, 3]]},
+            {"insert": [["x", 1]]},
+            {"insert": [[float("nan"), 1]]},
+            {"insert": [[1.7, 2]]},
+            {"insert": [[2.0, 1]]},
+            {"insert": [[True, 2]]},
+            {"delete": [[1, None]]},
+            {"insert": 5},
+            {"delete": [7]},
+            {"insert": [[-1, 2]]},
+            [[1, 2]],
+        ],
+        ids=repr,
+    )
+    def test_malformed_record_raises_mutation_error(self, rec):
+        with pytest.raises(MutationError):
+            GraphDelta.from_dict(rec)
+
+    def test_numpy_integer_endpoints_accepted(self):
+        d = GraphDelta(inserts=((np.int64(3), np.int32(1)),))
+        assert d.inserts == ((3, 1),)
+        assert type(d.inserts[0][0]) is int
+
     def test_validate_range(self):
         d = GraphDelta(inserts=((0, 9),))
         d.validate(10)

@@ -26,8 +26,11 @@
 #                                 # routing and the 2->64 GCD scaling
 #                                 # bench
 #   tools/run_tests.sh mutation   # the dynamic-graph tier: edge
-#                                 # deltas, versioned registry
-#                                 # mutation, incremental BFS repair,
+#                                 # deltas, the CSR splice against its
+#                                 # from-scratch reference, versioned
+#                                 # registry mutation, the release of
+#                                 # retired versions without the
+#                                 # cyclic GC, incremental BFS repair,
 #                                 # the repair-vs-recompute
 #                                 # differential wall and the
 #                                 # delta-size crossover bench
@@ -81,8 +84,10 @@ case "$tier" in
     python -m pytest benchmarks/bench_multigcd_scaling.py -s "$@"
     ;;
   mutation)
-    python -m pytest tests/graph/test_delta.py tests/xbfs/test_repair.py \
-      tests/service/test_mutation.py tests/service/test_mutation_differential.py "$@"
+    python -m pytest tests/graph/test_delta.py tests/graph/test_delta_splice.py \
+      tests/xbfs/test_repair.py tests/service/test_mutation.py \
+      tests/service/test_mutation_differential.py \
+      tests/service/test_registry_memory.py "$@"
     python -m pytest benchmarks/bench_mutation.py -s "$@"
     ;;
   obs)
