@@ -7,8 +7,8 @@ per *relaxed* edge, which tracks the size of the affected region, not
 the graph; a fresh adaptive traversal pays for the whole graph every
 time. Somewhere between "one edge" and "ten percent of the graph" the
 affected region stops being small and recompute wins — the executor's
-``repair_max_fraction`` policy knob is exactly a bet on where that
-crossover sits.
+:data:`~repro.service.execution.DEFAULT_REPAIR_MAX_FRACTION` is exactly
+a bet on where that crossover sits.
 
 This bench sweeps insert-only deltas from a single edge up to 10% of
 the base edge count on one R-MAT graph and reports, per delta size:

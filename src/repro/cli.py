@@ -272,10 +272,10 @@ def _export_service_telemetry(service, args: argparse.Namespace) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import BFSService, load_trace
+    from repro.service import load_trace
 
     queries = load_trace(args.trace)
-    service = _service_from_args(args, BFSService)
+    service = _service_from_args(args)
     report = service.replay(queries)
     print(f"replayed {len(queries)} queries from {args.trace}")
     print(report.render())
@@ -291,9 +291,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_service_bench(args: argparse.Namespace) -> int:
-    from repro.service import BFSService, synthetic_trace
+    from repro.service import synthetic_trace
 
-    service = _service_from_args(args, BFSService)
+    service = _service_from_args(args)
     specs = [s.strip() for s in args.graphs.split(",") if s.strip()]
     sizes = {}
     for spec in specs:
@@ -320,19 +320,12 @@ def _cmd_service_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_from_args(args: argparse.Namespace, cls):
-    fault_plan = None
-    if getattr(args, "fault_plan", None):
-        from repro.faults import FaultPlan
+def _config_from_args(args: argparse.Namespace):
+    """The one :class:`~repro.service.config.ServiceConfig` of a serving
+    command; a bad setting is a typed error (exit 2), not a traceback."""
+    from repro.service import ServiceConfig
 
-        fault_plan = FaultPlan.from_json(args.fault_plan)
-    tracer = None
-    if getattr(args, "trace_out", None) or getattr(args, "metrics_out", None):
-        from repro.telemetry import Tracer
-
-        tracer = Tracer()
-    audit, slo = _obs_from_args(args, tracer)
-    return cls(
+    return ServiceConfig(
         memory_budget_mb=args.memory_budget_mb,
         workers=args.workers,
         max_batch=args.max_batch,
@@ -345,11 +338,27 @@ def _service_from_args(args: argparse.Namespace, cls):
         distributed_threshold_mb=args.distributed_threshold,
         linalg_batch_threshold=args.linalg_batch_threshold,
         partition=args.partition,
-        fault_plan=fault_plan,
-        audit=audit,
-        slo=slo,
         bounded_metrics=getattr(args, "bounded_metrics", False),
-        **({"tracer": tracer} if tracer is not None else {}),
+    )
+
+
+def _service_from_args(args: argparse.Namespace):
+    from repro.service import BFSService
+
+    config = _config_from_args(args)
+    fault_plan = None
+    if getattr(args, "fault_plan", None):
+        from repro.faults import FaultPlan
+
+        fault_plan = FaultPlan.from_json(args.fault_plan)
+    tracer = None
+    if getattr(args, "trace_out", None) or getattr(args, "metrics_out", None):
+        from repro.telemetry import Tracer
+
+        tracer = Tracer()
+    audit, slo = _obs_from_args(args, tracer)
+    return BFSService(
+        config=config, fault_plan=fault_plan, tracer=tracer, audit=audit, slo=slo
     )
 
 
@@ -500,23 +509,10 @@ def _cmd_chaos_bench(args: argparse.Namespace) -> int:
     from repro.faults import levels_fingerprint, sweep_plans
     from repro.service import BFSService, synthetic_trace
 
+    config = _config_from_args(args)
+
     def build_service(fault_plan=None):
-        service = BFSService(
-            memory_budget_mb=args.memory_budget_mb,
-            workers=args.workers,
-            max_batch=args.max_batch,
-            window_ms=args.window_ms,
-            max_queue_depth=args.queue_depth,
-            default_deadline_ms=args.deadline_ms,
-            scale_factor=args.scale_factor,
-            seed=args.seed,
-            num_gcds=args.num_gcds,
-            distributed_threshold_mb=args.distributed_threshold,
-            linalg_batch_threshold=args.linalg_batch_threshold,
-            partition=args.partition,
-            fault_plan=fault_plan,
-        )
-        return service
+        return BFSService(config=config, fault_plan=fault_plan)
 
     specs = [s.strip() for s in args.graphs.split(",") if s.strip()]
     sizes = {}
@@ -587,6 +583,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     from repro.cluster import TenantQuota, death_plan, run_scaleout_sweep
     from repro.metrics.tables import render_table
 
+    config = _config_from_args(args)
     counts = [int(c) for c in args.replicas.split(",") if c.strip()]
     if not counts or any(c < 1 for c in counts):
         raise ReproError(f"--replicas must be positive ints, got {args.replicas!r}")
@@ -621,21 +618,10 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         }
 
     router_kwargs = dict(
-        memory_budget_mb=args.memory_budget_mb,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        window_ms=args.window_ms,
-        max_queue_depth=args.queue_depth,
-        scale_factor=args.scale_factor,
-        seed=args.seed,
-        num_gcds=args.num_gcds,
-        distributed_threshold_mb=args.distributed_threshold,
-        linalg_batch_threshold=args.linalg_batch_threshold,
-        partition=args.partition,
+        config=config,
         steal_threshold=args.steal_threshold,
         balance_factor=args.balance_factor,
         quotas=quotas,
-        bounded_metrics=getattr(args, "bounded_metrics", False),
     )
 
     tracers: dict[int, object] = {}

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.errors import ServiceError
 from repro.faults import FaultPlan, FaultRule, levels_fingerprint
+from repro.service.config import ServiceConfig
 from repro.service.request import Query
 from repro.service.runtime import BFSService
 
@@ -118,21 +119,11 @@ def death_plan(
 
 
 def _baseline_fingerprints(
-    trace: Sequence[Query], *, service_kwargs: dict, builder=None
+    trace: Sequence[Query], config: ServiceConfig, builder=None
 ) -> dict[int, int]:
-    """qid → levels fingerprint from one fault-free single service."""
-    service_kwargs = dict(service_kwargs)
-    if builder is not None:
-        from repro.service.registry import GraphRegistry
-
-        budget_mb = service_kwargs.pop("memory_budget_mb", 256.0)
-        service_kwargs["registry"] = GraphRegistry(
-            memory_budget_bytes=int(budget_mb * 1024 * 1024),
-            builder=builder,
-            scale_factor=service_kwargs.get("scale_factor", 64),
-            seed=service_kwargs.get("seed", 0),
-        )
-    service = BFSService(**service_kwargs)
+    """qid → levels fingerprint from one fault-free single service
+    serving with the cluster's own ``config``."""
+    service = BFSService(config=config, registry=config.build_registry(builder))
     report = service.replay(trace)
     return {o.query.qid: levels_fingerprint(o.levels) for o in report.served}
 
@@ -178,27 +169,7 @@ def run_scaleout_sweep(
         burst=burst,
         deadline_ms=deadline_ms,
     )
-    service_keys = (
-        "memory_budget_mb",
-        "workers",
-        "max_batch",
-        "window_ms",
-        "max_queue_depth",
-        "scale_factor",
-        "seed",
-        "scaled_cache",
-        "num_gcds",
-        "distributed_threshold_mb",
-    )
-    baseline_kwargs = {
-        k: router_kwargs[k] for k in service_keys if k in router_kwargs
-    }
-    baseline = _baseline_fingerprints(
-        trace,
-        service_kwargs=baseline_kwargs,
-        builder=router_kwargs.get("builder"),
-    )
-
+    baseline = None
     summaries = []
     for count in replica_counts:
         tracer = tracer_factory(count) if tracer_factory is not None else None
@@ -208,6 +179,12 @@ def run_scaleout_sweep(
             tracer=tracer,
             **router_kwargs,
         )
+        if baseline is None:
+            # The oracle serves with the router's own config, so no
+            # setting can drift between the two sides.
+            baseline = _baseline_fingerprints(
+                trace, router.config, builder=router_kwargs.get("builder")
+            )
         report = router.replay(trace)
         summary = report.summary(f"cluster_r{count}")
         crc = 0

@@ -3,9 +3,11 @@ with an id, liveness and a restart clock.
 
 Every replica owns its *own* registry, admission controller,
 scheduler, worker pool and metrics — the failure domain — while the
-whole cluster shares one virtual-time world, one tracer (per-replica
-span tracks via ``track_prefix``) and one fault injector (one RNG
-stream → one deterministic global fault schedule).
+whole cluster shares one virtual-time world, one
+:class:`~repro.service.config.ServiceConfig`, and one
+:class:`~repro.service.config.Observers` bundle: one tracer
+(per-replica span tracks via ``track_prefix``) and one fault injector
+(one RNG stream → one deterministic global fault schedule).
 
 The graph *builder* is shared and memoised by the router: host memory
 holds each parsed graph once, but the modelled CSR build charge is
@@ -20,6 +22,7 @@ ring with empty caches; the virtual clock never rewinds.
 from __future__ import annotations
 
 from repro.errors import ClusterError
+from repro.service.config import Observers, ServiceConfig
 from repro.service.registry import GraphRegistry
 from repro.service.request import Query, QueryOutcome
 from repro.service.runtime import BFSService
@@ -35,50 +38,15 @@ class Replica:
         rid: int,
         *,
         builder,
-        fault_injector=None,
-        recovery=None,
-        tracer=None,
-        memory_budget_mb: float = 256.0,
-        workers: int = 2,
-        max_batch: int | None = None,
-        window_ms: float = 5.0,
-        max_queue_depth: int = 256,
-        scaled_cache: bool = True,
-        num_gcds: int = 4,
-        distributed_threshold_mb: float | None = None,
-        linalg_batch_threshold: int | None = None,
-        partition: str = "1d",
-        scale_factor: int = 64,
-        seed: int = 0,
-        audit=None,
-        slo=None,
-        bounded_metrics: bool = False,
+        config: ServiceConfig,
+        observers: Observers,
     ) -> None:
         self.rid = rid
-        registry = GraphRegistry(
-            memory_budget_bytes=int(memory_budget_mb * 1024 * 1024),
-            builder=builder,
-            scale_factor=scale_factor,
-            seed=seed,
-        )
         self.service = BFSService(
-            registry=registry,
-            workers=workers,
-            max_batch=max_batch,
-            window_ms=window_ms,
-            max_queue_depth=max_queue_depth,
-            scaled_cache=scaled_cache,
-            num_gcds=num_gcds,
-            distributed_threshold_mb=distributed_threshold_mb,
-            linalg_batch_threshold=linalg_batch_threshold,
-            partition=partition,
-            fault_injector=fault_injector,
-            recovery=recovery,
-            tracer=tracer,
+            config=config,
+            registry=config.build_registry(builder),
+            observers=observers,
             track_prefix=f"replica{rid}.",
-            audit=audit,
-            slo=slo,
-            bounded_metrics=bounded_metrics,
         )
         self.alive = True
         #: Virtual restart stamp while dead, ``None`` when alive.

@@ -38,13 +38,14 @@ served answer is bit-identical to a solo ``XBFS.run``.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache, partial
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import AdmissionError, ClusterError, QuotaExceededError
 from repro.faults.plan import FaultPlan
-from repro.obs.audit import NULL_AUDIT
+from repro.service.config import DEFAULT_CONFIG, Observers, ServiceConfig
 from repro.service.request import Query, QueryOutcome
-from repro.telemetry.tracer import NULL_TRACER, Tracer
+from repro.telemetry.tracer import Tracer
 from repro.cluster.placement import PlacementMap
 from repro.cluster.qos import DEFAULT_QOS_CLASSES, QosClass, QuotaLedger, TenantQuota
 from repro.cluster.replica import Replica
@@ -54,7 +55,18 @@ __all__ = ["ClusterRouter"]
 
 
 class ClusterRouter:
-    """Front door over ``replicas`` sharded :class:`Replica` services."""
+    """Front door over ``replicas`` sharded :class:`Replica` services.
+
+    The router's own knobs are ``replicas``, ``quotas``,
+    ``qos_classes``, ``steal_threshold``, ``balance_factor`` and
+    ``vnodes``. Every *serving* setting lives on one frozen
+    :class:`~repro.service.config.ServiceConfig` (see its field docs),
+    given as ``config``, as keyword ``settings`` (the config's field
+    names), or both — built once here and shared by every replica.
+    Observers (``tracer``, ``audit``, ``slo``) and the ``fault_plan``'s
+    injector travel to the replicas as one
+    :class:`~repro.service.config.Observers` bundle.
+    """
 
     def __init__(
         self,
@@ -65,25 +77,13 @@ class ClusterRouter:
         steal_threshold: int | None = 8,
         balance_factor: float = 1.5,
         vnodes: int = 64,
-        memory_budget_mb: float = 256.0,
-        workers: int = 2,
-        max_batch: int | None = None,
-        window_ms: float = 5.0,
-        max_queue_depth: int = 256,
-        scale_factor: int = 64,
-        seed: int = 0,
-        scaled_cache: bool = True,
-        num_gcds: int = 4,
-        distributed_threshold_mb: float | None = None,
-        linalg_batch_threshold: int | None = None,
-        partition: str = "1d",
         builder=None,
         fault_plan: FaultPlan | None = None,
-        recovery=None,
         tracer: Tracer | None = None,
         audit=None,
         slo=None,
-        bounded_metrics: bool = False,
+        config: ServiceConfig | None = None,
+        **settings,
     ) -> None:
         if replicas < 1:
             raise ClusterError(f"cluster needs >= 1 replica, got {replicas}")
@@ -91,61 +91,42 @@ class ClusterRouter:
             raise ClusterError(
                 f"steal_threshold must be >= 1 or None, got {steal_threshold}"
             )
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Decision-audit log shared by the front door and every
-        #: replica's admission/scheduler/executor (observer-only).
-        self.audit = audit if audit is not None else NULL_AUDIT
+        #: The one serving config every replica reads.
+        self.config = (config or DEFAULT_CONFIG).with_overrides(**settings)
+        #: Shared by the front door and every replica's
+        #: admission/scheduler/executor.
+        self.observers = Observers.of(
+            tracer=tracer, audit=audit, slo=slo, fault_plan=fault_plan
+        )
+        self.tracer = self.observers.tracer
+        #: Decision-audit log (observer-only).
+        self.audit = self.observers.audit
         #: Optional :class:`~repro.obs.slo.SloEngine`; replicas feed it
         #: per terminal outcome, the front door on quota rejections.
         self.slo = slo
         self.fault_plan = fault_plan
-        self.fault_injector = (
-            fault_plan.injector() if fault_plan is not None else None
-        )
+        self.fault_injector = self.observers.fault_injector
         self.steal_threshold = steal_threshold
 
         # One host-side graph per spec, shared across replicas; each
         # replica's registry still charges its own virtual build time.
+        # The memo lives on the wrapper, never on ``self``, so nothing
+        # here closes over the router and a dropped router is freed by
+        # reference counting alone.
         if builder is None:
             from repro.cli import parse_graph_spec
 
-            def builder(spec: str, _sf=scale_factor, _seed=seed):
-                return parse_graph_spec(
-                    spec, scale_factor=_sf, seed=_seed
-                )
-
-        self._graph_cache: dict = {}
-        base_builder = builder
-
-        def shared_builder(spec: str):
-            if spec not in self._graph_cache:
-                self._graph_cache[spec] = base_builder(spec)
-            return self._graph_cache[spec]
-
+            builder = partial(parse_graph_spec,
+                              scale_factor=self.config.scale_factor,
+                              seed=self.config.seed)
+        shared_builder = cache(builder)
         self._builder = shared_builder
-
         self.replicas = [
             Replica(
                 rid,
                 builder=shared_builder,
-                fault_injector=self.fault_injector,
-                recovery=recovery,
-                tracer=self.tracer,
-                memory_budget_mb=memory_budget_mb,
-                workers=workers,
-                max_batch=max_batch,
-                window_ms=window_ms,
-                max_queue_depth=max_queue_depth,
-                scaled_cache=scaled_cache,
-                num_gcds=num_gcds,
-                distributed_threshold_mb=distributed_threshold_mb,
-                linalg_batch_threshold=linalg_batch_threshold,
-                partition=partition,
-                scale_factor=scale_factor,
-                seed=seed,
-                audit=audit,
-                slo=slo,
-                bounded_metrics=bounded_metrics,
+                config=self.config,
+                observers=self.observers,
             )
             for rid in range(replicas)
         ]
@@ -277,11 +258,10 @@ class ClusterRouter:
 
         from repro.xbfs.concurrent import validate_batch_sources
 
-        max_batch = min(r.scheduler.max_batch for r in self.replicas)
         validate_batch_sources(
             np.asarray(sources, dtype=np.int64),
             self.num_vertices_of(graph),
-            max_batch=max_batch,
+            max_batch=self.config.batch_limit,
             engine="cluster",
         )
         queries = [

@@ -18,6 +18,7 @@ __all__ = [
     "ExperimentError",
     "PartitionError",
     "ServiceError",
+    "ServiceConfigError",
     "BatchLimitError",
     "AdmissionError",
     "QueueFullError",
@@ -80,14 +81,20 @@ class ServiceError(ReproError, RuntimeError):
     bad trace record, ...)."""
 
 
-class BatchLimitError(ServiceError, ValueError):
+class ServiceConfigError(ServiceError, ValueError):
+    """A serving setting is out of range (non-finite, non-positive,
+    unknown partition, ...). Raised once, when the
+    :class:`~repro.service.config.ServiceConfig` is built, before any
+    serving layer exists."""
+
+
+class BatchLimitError(ServiceConfigError):
     """A scheduler ``max_batch`` exceeds the batch capacity of the
     engine tier that would serve it. The cap is *engine-aware*: 64
     distinct sources on the bit-parallel concurrent path (one status
     bit per source in a 64-bit word), lifted to the linear-algebra
-    batch engine's word-extensible cap when ``linalg_batch_threshold``
-    enables that tier. The message names the active engine and its
-    cap."""
+    batch engine's word-extensible cap when that tier is enabled. The
+    message names the active engine and its cap."""
 
 
 class AdmissionError(ServiceError):

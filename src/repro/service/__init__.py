@@ -5,6 +5,9 @@ graph, run n traversals, report GTEPS. This package turns that loop
 into a *servable system* — the front door every scaling PR (sharding,
 async backends, multi-GCD serving) plugs into:
 
+* :mod:`repro.service.config`    — :class:`ServiceConfig`, the one
+  frozen, validated set of serving settings every layer reads, and
+  the :class:`Observers` bundle (tracer, audit, SLO, fault injector).
 * :mod:`repro.service.request`   — query / outcome records and the
   per-query option surface.
 * :mod:`repro.service.registry`  — a memory-budgeted LRU graph cache,
@@ -49,7 +52,8 @@ Quick start::
     print(report.render())
 """
 
-from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.admission import AdmissionController
+from repro.service.config import Observers, ServiceConfig
 from repro.service.execution import (
     SERIAL_FALLBACK_MS_PER_MEDGE,
     ExecutionEngine,
@@ -63,7 +67,6 @@ from repro.service.trace import load_trace, save_trace, synthetic_trace
 
 __all__ = [
     "AdmissionController",
-    "AdmissionPolicy",
     "BFSService",
     "ENGINE_NAMES",
     "CoalescingScheduler",
@@ -74,6 +77,8 @@ __all__ = [
     "QueryOutcome",
     "RegistryEntry",
     "SERIAL_FALLBACK_MS_PER_MEDGE",
+    "Observers",
+    "ServiceConfig",
     "ServiceMetrics",
     "ServiceReport",
     "WorkerState",

@@ -15,49 +15,29 @@ queueing without bound. Two typed rejections, both subclasses of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import DeadlineExceededError, QueueFullError
-from repro.obs.audit import NULL_AUDIT
+from repro.service.config import DEFAULT_CONFIG, NO_OBSERVERS, Observers, ServiceConfig
 from repro.service.request import Query
 
-__all__ = ["AdmissionPolicy", "AdmissionController"]
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Static admission limits.
-
-    max_queue_depth:
-        Pending (admitted, not yet dispatched) queries the service
-        holds before rejecting with
-        :class:`~repro.errors.QueueFullError`.
-    default_deadline_ms:
-        Deadline applied to queries that do not carry their own;
-        ``None`` means no implicit deadline.
-    """
-
-    max_queue_depth: int = 256
-    default_deadline_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
-        if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
-            raise ValueError("default_deadline_ms must be positive")
+__all__ = ["AdmissionController"]
 
 
 class AdmissionController:
-    """Applies an :class:`AdmissionPolicy` and counts its decisions.
+    """Applies the config's admission limits and counts its decisions.
 
-    ``audit`` (default :data:`~repro.obs.audit.NULL_AUDIT`) receives
-    one ``admission`` record per verdict with the inputs that drove it
-    — observer-only, never part of the decision.
+    Reads ``max_queue_depth`` and ``default_deadline_ms`` from its
+    :class:`~repro.service.config.ServiceConfig`. The observers' audit
+    log receives one ``admission`` record per verdict with the inputs
+    that drove it — observer-only, never part of the decision.
     """
 
-    def __init__(self, policy: AdmissionPolicy | None = None, *, audit=None) -> None:
-        self.policy = policy or AdmissionPolicy()
-        self.audit = audit if audit is not None else NULL_AUDIT
+    def __init__(
+        self,
+        config: ServiceConfig = DEFAULT_CONFIG,
+        observers: Observers = NO_OBSERVERS,
+    ) -> None:
+        self.config = config
+        self.audit = observers.audit
         self.admitted = 0
         self.rejected_queue_full = 0
         self.rejected_deadline = 0
@@ -66,7 +46,7 @@ class AdmissionController:
         """The query's effective deadline (its own, else the default)."""
         if query.deadline_ms is not None:
             return query.deadline_ms
-        return self.policy.default_deadline_ms
+        return self.config.default_deadline_ms
 
     def admit(self, query: Query, queue_depth: int) -> None:
         """Gate one submission against the current queue depth and an
@@ -85,7 +65,7 @@ class AdmissionController:
                 f"query {query.qid} rejected at admission: deadline "
                 f"{deadline:.3f} ms already elapsed on arrival"
             )
-        if queue_depth >= self.policy.max_queue_depth:
+        if queue_depth >= self.config.max_queue_depth:
             self.rejected_queue_full += 1
             self.audit.record(
                 "admission",
@@ -93,11 +73,11 @@ class AdmissionController:
                 "rejected:queue_full",
                 at_ms=query.arrival_ms,
                 queue_depth=queue_depth,
-                limit=self.policy.max_queue_depth,
+                limit=self.config.max_queue_depth,
             )
             raise QueueFullError(
                 f"query {query.qid} rejected: queue depth "
-                f"{queue_depth} >= limit {self.policy.max_queue_depth}"
+                f"{queue_depth} >= limit {self.config.max_queue_depth}"
             )
         self.admitted += 1
         self.audit.record(
@@ -106,7 +86,7 @@ class AdmissionController:
             "admitted",
             at_ms=query.arrival_ms,
             queue_depth=queue_depth,
-            limit=self.policy.max_queue_depth,
+            limit=self.config.max_queue_depth,
             deadline_ms=deadline,
         )
 

@@ -13,8 +13,8 @@ placement / dispatch / execution split:
 
 :class:`ExecutionEngine` owns the engine-routing policy — by graph
 size (solo XBFS / concurrent iBFS vs the multi-GCD pod) and by batch
-width (the linear-algebra batch tier: same-graph dispatches of
-``linalg_batch_threshold``+ distinct sources run as one masked
+width (the linear-algebra batch tier: same-graph dispatches wide
+enough to reach the config's linalg threshold run as one masked
 CSR×matrix product on :class:`~repro.xbfs.linalg_batch.LinAlgBatchBFS`
 instead of a stream of ≤64-source concurrent batches) — plus the
 per-entry engine cache on
@@ -33,18 +33,14 @@ import numpy as np
 from repro.errors import (
     DeviceFaultError,
     RecoveryExhaustedError,
-    ServiceError,
     StaleEntryError,
 )
-from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryPolicy
-from repro.gcd.device import MI250X_GCD
-from repro.obs.audit import NULL_AUDIT
+from repro.service.config import DEFAULT_CONFIG, NO_OBSERVERS, Observers, ServiceConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import RegistryEntry
 from repro.service.request import Query
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs.concurrent import MAX_CONCURRENT, ConcurrentBFS
-from repro.xbfs.linalg_batch import MAX_LINALG_BATCH, LinAlgBatchBFS
+from repro.xbfs.linalg_batch import LinAlgBatchBFS
 from repro.xbfs.repair import REPAIR_BASE_MS, repair_levels
 
 __all__ = [
@@ -76,72 +72,23 @@ class ExecutionEngine:
 
     def __init__(
         self,
+        config: ServiceConfig = DEFAULT_CONFIG,
+        observers: Observers = NO_OBSERVERS,
         *,
         metrics: ServiceMetrics | None = None,
-        scaled_cache: bool = True,
-        num_gcds: int = 4,
-        distributed_threshold_bytes: int | None = None,
-        linalg_batch_threshold: int | None = None,
-        partition: str = "1d",
-        fault_injector=None,
-        recovery: RecoveryPolicy | None = None,
-        tracer: Tracer | None = None,
-        audit=None,
-        repair_max_fraction: float = DEFAULT_REPAIR_MAX_FRACTION,
     ) -> None:
-        if num_gcds < 1:
-            raise ServiceError(f"num_gcds must be >= 1, got {num_gcds}")
-        if partition not in ("1d", "2d"):
-            raise ServiceError(
-                f"partition must be '1d' or '2d', got {partition!r}"
-            )
-        if (
-            distributed_threshold_bytes is not None
-            and distributed_threshold_bytes < 0
-        ):
-            raise ServiceError("distributed_threshold_bytes must be >= 0")
-        if linalg_batch_threshold is not None and not (
-            2 <= linalg_batch_threshold <= MAX_LINALG_BATCH
-        ):
-            raise ServiceError(
-                f"linalg_batch_threshold must be in 2..{MAX_LINALG_BATCH}, "
-                f"got {linalg_batch_threshold}"
-            )
+        #: Routing policy (pod width, distributed threshold, linalg
+        #: tier, partition) and the recovery ladder, all read from here.
+        self.config = config
         self.metrics = metrics or ServiceMetrics()
-        self.scaled_cache = scaled_cache
-        #: Pod width of the distributed engine (2/4/8 model one, two or
-        #: four MI250X cards' worth of GCDs).
-        self.num_gcds = num_gcds
-        #: CSR byte footprint above which a graph routes to the
-        #: multi-GCD engine; ``None`` disables distributed routing.
-        self.distributed_threshold_bytes = distributed_threshold_bytes
-        #: Distinct-source count at which a same-graph dispatch routes
-        #: to the linear-algebra batch engine; ``None`` disables the
-        #: tier (and keeps the scheduler's batch cap at
-        #: :data:`~repro.xbfs.concurrent.MAX_CONCURRENT`).
-        self.linalg_batch_threshold = linalg_batch_threshold
-        #: Decomposition of the distributed tier: ``"1d"`` is the
-        #: edge-balanced row partition (:class:`MultiGcdBFS
-        #: <repro.multigcd.distributed_bfs.MultiGcdBFS>`, naive
-        #: exchange — the committed-fingerprint default), ``"2d"`` the
-        #: checkerboard grid (:class:`~repro.multigcd.grid2d.Grid2dBFS`)
-        #: with the compressed exchange codec and comm/compute overlap
-        #: enabled.
-        self.partition = partition
-        self.fault_injector = fault_injector
-        self.recovery = recovery or DEFAULT_RECOVERY
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.fault_injector = observers.fault_injector
+        self.tracer = observers.tracer
         #: Decision-audit log (observer-only; NULL_AUDIT = disabled).
-        self.audit = audit if audit is not None else NULL_AUDIT
+        self.audit = observers.audit
         #: Consecutive dispatches that exhausted their retries.
         self._fault_streak = 0
         #: Dispatches the open circuit breaker still routes serially.
         self._breaker_cooldown_left = 0
-        #: Repair-vs-recompute policy knob (see
-        #: :data:`DEFAULT_REPAIR_MAX_FRACTION`). 0 disables the tier.
-        if repair_max_fraction < 0:
-            raise ServiceError("repair_max_fraction must be >= 0")
-        self.repair_max_fraction = repair_max_fraction
 
     # ------------------------------------------------------------------
     def run(
@@ -193,7 +140,7 @@ class ExecutionEngine:
                 registry=registry,
             )
 
-        recovery = self.recovery
+        recovery = self.config.recovery
         if self._breaker_cooldown_left > 0:
             self._breaker_cooldown_left -= 1
             if self._breaker_cooldown_left == 0:
@@ -281,22 +228,6 @@ class ExecutionEngine:
                 )
 
     # ------------------------------------------------------------------
-    @property
-    def batch_cap(self) -> int:
-        """Distinct sources one dispatch may carry — engine-aware: the
-        concurrent engine's 64-bit status word without the linalg tier,
-        the bitmap engine's word-extensible cap with it."""
-        if self.linalg_batch_threshold is not None:
-            return MAX_LINALG_BATCH
-        return MAX_CONCURRENT
-
-    @property
-    def batch_cap_engine(self) -> str:
-        """Name of the engine whose capacity sets :attr:`batch_cap`."""
-        if self.linalg_batch_threshold is not None:
-            return "linalg_batch"
-        return "concurrent"
-
     def routes_linalg(self, entry: RegistryEntry, live, sources) -> bool:
         """Batch-width routing policy: a same-graph dispatch runs as one
         masked CSR×matrix product when the tier is enabled and the
@@ -304,7 +235,7 @@ class ExecutionEngine:
         exceeds the concurrent engine's 64-slot word outright, which no
         other batched engine could serve. Solo-only option surfaces
         (pinned strategy, parents, truncation) never route."""
-        threshold = self.linalg_batch_threshold
+        threshold = self.config.linalg_batch_threshold
         if threshold is None:
             return False
         k = len(sources)
@@ -319,8 +250,8 @@ class ExecutionEngine:
         default option surface (the distributed engine honours neither
         pinned strategies, parent arrays nor truncated runs — those
         stay solo, whatever the size)."""
-        threshold = self.distributed_threshold_bytes
-        if threshold is None or self.num_gcds < 2:
+        threshold = self.config.distributed_threshold_bytes
+        if threshold is None or self.config.num_gcds < 2:
             return False
         if entry.graph.memory_bytes <= threshold:
             return False
@@ -352,18 +283,16 @@ class ExecutionEngine:
         every query carries the default option surface, every source
         has a cached basis, the deltas since each basis are
         insert-only, and the cumulative insert batch stays under
-        ``repair_max_fraction`` of the mutated graph's edges. Any
+        :data:`DEFAULT_REPAIR_MAX_FRACTION` of the mutated graph's edges. Any
         declined gate (on a mutated graph) lands one ``repair`` audit
         record explaining why the dispatch recomputed.
         """
         if registry is None or entry.version == 0:
             return None
-        if self.repair_max_fraction <= 0:
-            return None
         if not all(q.options.coalescing_key() is not None for q in live):
             return None
 
-        max_inserts = self.repair_max_fraction * max(1, entry.graph.num_edges)
+        max_inserts = DEFAULT_REPAIR_MAX_FRACTION * max(1, entry.graph.num_edges)
         plans: list[tuple[int, "np.ndarray", tuple]] = []
         declined = None
         for src in sources:
@@ -438,14 +367,15 @@ class ExecutionEngine:
             # Graph size dominates: a CSR that outgrows one GCD's
             # residency also outgrows the single-GCD bitmap engine.
             result = self._run_distributed(entry, sources)
-            engine = "grid2d" if self.partition == "2d" else "multigcd"
+            cfg = self.config
+            engine = "grid2d" if cfg.partition == "2d" else "multigcd"
             if self.audit.enabled:
                 self._audit_routing(
                     live, engine, now_ms,
                     footprint_bytes=entry.graph.memory_bytes,
-                    distributed_threshold_bytes=self.distributed_threshold_bytes,
-                    num_gcds=self.num_gcds,
-                    partition=self.partition,
+                    distributed_threshold_bytes=cfg.distributed_threshold_bytes,
+                    num_gcds=cfg.num_gcds,
+                    partition=cfg.partition,
                     batch=len(sources),
                 )
                 self._audit_distributed(live, result, now_ms)
@@ -458,7 +388,7 @@ class ExecutionEngine:
                 self._audit_routing(
                     live, "linalg_batch", now_ms,
                     batch=len(sources),
-                    linalg_batch_threshold=self.linalg_batch_threshold,
+                    linalg_batch_threshold=self.config.linalg_batch_threshold,
                     max_concurrent=MAX_CONCURRENT,
                     footprint_bytes=entry.graph.memory_bytes,
                 )
@@ -611,12 +541,9 @@ class ExecutionEngine:
         slot = self._slot(entry, "device")
         device = entry.engines.get(slot)
         if device is None:
-            if self.scaled_cache:
-                from repro.experiments.common import scaled_device
+            from repro.experiments.common import scaled_device
 
-                device = scaled_device(entry.graph)
-            else:
-                device = MI250X_GCD
+            device = scaled_device(entry.graph)
             entry.engines[slot] = device
         return device
 
@@ -629,7 +556,7 @@ class ExecutionEngine:
                 device=self._device_of(entry),
                 tracer=self.tracer,
                 injector=self.fault_injector,
-                recovery=self.recovery,
+                recovery=self.config.recovery,
             )
             entry.engines[slot] = engine
         return engine.run(np.asarray(sources, dtype=np.int64))
@@ -643,7 +570,7 @@ class ExecutionEngine:
                 device=self._device_of(entry),
                 tracer=self.tracer,
                 injector=self.fault_injector,
-                recovery=self.recovery,
+                recovery=self.config.recovery,
             )
             entry.engines[slot] = engine
         return engine.run(np.asarray(sources, dtype=np.int64))
@@ -660,16 +587,17 @@ class ExecutionEngine:
         new surface and ships with the compressed exchange codec and
         comm/compute overlap on.
         """
-        if self.partition == "2d":
+        num_gcds = self.config.num_gcds
+        if self.config.partition == "2d":
             from repro.multigcd.exchange import ExchangeCodec
             from repro.multigcd.grid2d import Grid2dBFS
 
             slot = self._slot(entry, "grid2d")
             engine = entry.engines.get(slot)
-            if engine is None or engine.num_gcds != self.num_gcds:
+            if engine is None or engine.num_gcds != num_gcds:
                 engine = Grid2dBFS(
                     entry.graph,
-                    self.num_gcds,
+                    num_gcds,
                     device=self._device_of(entry),
                     tracer=self.tracer,
                     injector=self.fault_injector,
@@ -683,10 +611,10 @@ class ExecutionEngine:
 
         slot = self._slot(entry, "multigcd")
         engine = entry.engines.get(slot)
-        if engine is None or engine.num_gcds != self.num_gcds:
+        if engine is None or engine.num_gcds != num_gcds:
             engine = MultiGcdBFS(
                 entry.graph,
-                self.num_gcds,
+                num_gcds,
                 device=self._device_of(entry),
                 tracer=self.tracer,
                 injector=self.fault_injector,
@@ -705,7 +633,7 @@ class ExecutionEngine:
                 device=self._device_of(entry),
                 tracer=self.tracer,
                 injector=self.fault_injector,
-                recovery=self.recovery,
+                recovery=self.config.recovery,
             )
             entry.engines[slot] = engine
         opts = query.options

@@ -17,13 +17,12 @@ from typing import Iterable, Sequence
 
 from repro.errors import AdmissionError, ServiceError
 from repro.faults.plan import FaultPlan
-from repro.faults.recovery import RecoveryPolicy
-from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.config import DEFAULT_CONFIG, Observers, ServiceConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import GraphRegistry
 from repro.service.request import Query, QueryOutcome
 from repro.service.scheduler import CoalescingScheduler
-from repro.telemetry.tracer import NULL_TRACER, Tracer
+from repro.telemetry.tracer import Tracer
 
 __all__ = ["BFSService", "ServiceReport"]
 
@@ -59,130 +58,66 @@ class ServiceReport:
 class BFSService:
     """A deterministic, synchronous BFS query service.
 
-    Parameters mirror the subsystem layers: ``memory_budget_mb`` bounds
-    the graph registry, ``workers``/``max_batch``/``window_ms`` shape
-    the coalescing scheduler, ``max_queue_depth``/``default_deadline_ms``
-    set the admission policy, and ``scale_factor``/``seed`` fix how
-    graph specs resolve (one spec string → one graph for the service's
-    lifetime).
+    Every serving setting lives on one frozen
+    :class:`~repro.service.config.ServiceConfig` — see its field docs
+    for what each one does and the range it is validated against. Pass
+    a prebuilt ``config``, keyword ``settings`` (the config's field
+    names), or both: ``BFSService(config=base, workers=4)`` serves with
+    ``replace(base, workers=4)``. A bad value raises a typed
+    :class:`~repro.errors.ServiceConfigError` before any layer exists.
 
-    ``distributed_threshold_mb``/``num_gcds`` set the engine-routing
-    policy: dispatches against graphs whose CSR footprint exceeds the
-    threshold are served by the multi-GCD distributed engine (a
-    simulated 2/4/8-GCD pod) instead of a single simulated GCD; the
-    partition is computed once per cached graph and answers stay
-    bit-identical to solo XBFS. ``None`` (the default) keeps every
-    dispatch on the single-GCD engines. ``partition`` selects the
-    pod's decomposition: ``"1d"`` (default) is the edge-balanced row
-    partition with the naive exchange, ``"2d"`` the checkerboard
-    :class:`~repro.multigcd.grid2d.Grid2dBFS` grid with the compressed
-    frontier-exchange codec and comm/compute overlap enabled
-    (dispatches count under the ``grid2d`` engine).
-
-    ``linalg_batch_threshold`` enables the third routing tier: a
-    same-graph dispatch of that many distinct sources (or more) runs
-    as one masked CSR×matrix product on
-    :class:`~repro.xbfs.linalg_batch.LinAlgBatchBFS` instead of a
-    stream of ≤64-source concurrent batches, and the scheduler's batch
-    cap lifts from 64 to the bitmap engine's
-    :data:`~repro.xbfs.linalg_batch.MAX_LINALG_BATCH`. ``max_batch=None``
-    (the default) adopts whichever cap is active; an explicit value is
-    validated against it with a typed
-    :class:`~repro.errors.BatchLimitError`.
+    The rest are collaborators, not settings: ``registry`` (default: a
+    fresh one sized by the config), the observers ``tracer`` /
+    ``audit`` / ``slo``, and either a ``fault_plan`` or a shared
+    ``fault_injector`` (a cluster passes one injector to every replica
+    as part of an :class:`~repro.service.config.Observers` bundle via
+    ``observers``).
     """
 
     def __init__(
         self,
         *,
-        memory_budget_mb: float = 256.0,
-        workers: int = 2,
-        max_batch: int | None = None,
-        window_ms: float = 5.0,
-        max_queue_depth: int = 256,
-        default_deadline_ms: float | None = None,
-        scale_factor: int = 64,
-        seed: int = 0,
-        scaled_cache: bool = True,
-        num_gcds: int = 4,
-        distributed_threshold_mb: float | None = None,
-        linalg_batch_threshold: int | None = None,
-        partition: str = "1d",
+        config: ServiceConfig | None = None,
         registry: GraphRegistry | None = None,
         fault_plan: FaultPlan | None = None,
         fault_injector=None,
-        recovery: RecoveryPolicy | None = None,
         tracer: Tracer | None = None,
-        track_prefix: str = "",
         audit=None,
         slo=None,
-        bounded_metrics: bool = False,
+        observers: Observers | None = None,
+        track_prefix: str = "",
+        **settings,
     ) -> None:
+        #: The one serving config every layer below reads.
+        self.config = (config or DEFAULT_CONFIG).with_overrides(**settings)
+        if observers is None:
+            observers = Observers.of(
+                tracer=tracer, audit=audit, slo=slo,
+                fault_injector=fault_injector, fault_plan=fault_plan,
+            )
+        elif any(x is not None
+                 for x in (tracer, audit, slo, fault_injector, fault_plan)):
+            raise ServiceError(
+                "pass observers or the individual observer arguments, not both"
+            )
+        self.observers = observers
+        self.tracer = observers.tracer
+        self.audit = observers.audit
+        self.slo = observers.slo
+        self.fault_injector = observers.fault_injector
+        #: The declarative plan (kept for reports); its injector on
+        #: ``observers`` holds all mutable fault state.
+        self.fault_plan = fault_plan
         # Explicit None-check: an empty GraphRegistry has len() == 0
         # and would read as falsy.
         if registry is None:
-            registry = GraphRegistry(
-                memory_budget_bytes=int(memory_budget_mb * 1024 * 1024),
-                scale_factor=scale_factor,
-                seed=seed,
-            )
+            registry = self.config.build_registry()
         self.registry = registry
-        #: Decision-audit log shared by admission / scheduler /
-        #: executor (observer-only; ``None`` disables).
-        self.audit = audit
-        #: Optional :class:`~repro.obs.slo.SloEngine` observing every
-        #: terminal outcome.
-        self.slo = slo
-        self.admission = AdmissionController(
-            AdmissionPolicy(
-                max_queue_depth=max_queue_depth,
-                default_deadline_ms=default_deadline_ms,
-            ),
-            audit=audit,
-        )
-        # bounded_metrics=True swaps exact per-class latency lists for
-        # the mergeable log-bucket sketches (O(buckets) memory); the
-        # default keeps exact percentiles so summaries stay
-        # byte-identical.
-        self.metrics = ServiceMetrics(exact_percentiles=not bounded_metrics)
-        #: The declarative plan (kept for reports); its injector below
-        #: holds all mutable fault state. A cluster passes one shared
-        #: ``fault_injector`` to every replica instead — one RNG stream,
-        #: one deterministic global fault schedule.
-        if fault_plan is not None and fault_injector is not None:
-            raise ServiceError(
-                "pass either fault_plan or fault_injector, not both"
-            )
-        self.fault_plan = fault_plan
-        self.fault_injector = (
-            fault_plan.injector() if fault_plan is not None else fault_injector
-        )
-        #: One tracer for the whole service: dispatch spans, engine
-        #: level spans, kernel spans and fault/recovery events all land
-        #: on its correlated timeline (see :mod:`repro.telemetry`).
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.scheduler = CoalescingScheduler(
-            self.registry,
-            workers=workers,
-            max_batch=max_batch,
-            window_ms=window_ms,
-            admission=self.admission,
-            metrics=self.metrics,
-            scaled_cache=scaled_cache,
-            fault_injector=self.fault_injector,
-            recovery=recovery,
-            tracer=self.tracer,
-            num_gcds=num_gcds,
-            distributed_threshold_bytes=(
-                int(distributed_threshold_mb * 1024 * 1024)
-                if distributed_threshold_mb is not None
-                else None
-            ),
-            linalg_batch_threshold=linalg_batch_threshold,
-            partition=partition,
-            track_prefix=track_prefix,
-            audit=audit,
-            slo=slo,
+            registry, self.config, observers, track_prefix=track_prefix
         )
+        self.admission = self.scheduler.admission
+        self.metrics = self.scheduler.metrics
         #: The execution plane (engine routing + fault recovery) the
         #: scheduler dispatches onto — the third concern of the
         #: placement / dispatch / execution split.

@@ -10,7 +10,7 @@ coalescing window), then groups every compatible same-graph query —
 same spec string, equal :func:`~repro.xbfs.concurrent.coalescing_key`
 — into one batched dispatch of up to ``max_batch`` distinct sources.
 The cap is *engine-aware*: it defaults to (and is validated against)
-the executor's :attr:`~repro.service.execution.ExecutionEngine.batch_cap`
+:attr:`ServiceConfig.batch_cap <repro.service.config.ServiceConfig.batch_cap>`
 — 64 sources on the bit-parallel
 :class:`~repro.xbfs.concurrent.ConcurrentBFS` path, lifted to the
 :class:`~repro.xbfs.linalg_batch.LinAlgBatchBFS` bitmap engine's cap
@@ -43,15 +43,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.errors import (
-    AdmissionError,
-    BatchLimitError,
-    DeadlineExceededError,
-    ServiceError,
-)
-from repro.faults.recovery import RecoveryPolicy
-from repro.obs.audit import NULL_AUDIT
+from repro.errors import AdmissionError, DeadlineExceededError, ServiceError
 from repro.service.admission import AdmissionController
+from repro.service.config import DEFAULT_CONFIG, NO_OBSERVERS, Observers, ServiceConfig
 from repro.service.execution import (
     SERIAL_FALLBACK_MS_PER_MEDGE,
     ExecutionEngine,
@@ -59,7 +53,6 @@ from repro.service.execution import (
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import GraphRegistry
 from repro.service.request import Query, QueryOutcome
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 __all__ = ["CoalescingScheduler", "WorkerState", "SERIAL_FALLBACK_MS_PER_MEDGE"]
 
@@ -80,115 +73,52 @@ class CoalescingScheduler:
     def __init__(
         self,
         registry: GraphRegistry,
+        config: ServiceConfig = DEFAULT_CONFIG,
+        observers: Observers = NO_OBSERVERS,
         *,
-        workers: int = 2,
-        max_batch: int | None = None,
-        window_ms: float = 5.0,
-        admission: AdmissionController | None = None,
-        metrics: ServiceMetrics | None = None,
-        scaled_cache: bool = True,
-        fault_injector=None,
-        recovery: RecoveryPolicy | None = None,
-        tracer: Tracer | None = None,
-        num_gcds: int = 4,
-        distributed_threshold_bytes: int | None = None,
-        linalg_batch_threshold: int | None = None,
-        partition: str = "1d",
-        executor: ExecutionEngine | None = None,
         track_prefix: str = "",
-        audit=None,
-        slo=None,
     ) -> None:
-        if workers < 1:
-            raise ServiceError("scheduler needs at least one worker")
-        if window_ms < 0:
-            raise ServiceError("window_ms must be >= 0")
         self.registry = registry
-        self.window_ms = window_ms
+        #: The one serving config; its admission controller and executor
+        #: read the same object.
+        self.config = config
+        #: Engine-aware batch cap: ``config.max_batch``, else the active
+        #: engine's capacity (64 concurrent, the bitmap engine's cap
+        #: with the linalg tier enabled).
+        self.max_batch = config.batch_limit
         #: Decision-audit log (observer-only; NULL_AUDIT = disabled).
-        self.audit = audit if audit is not None else NULL_AUDIT
+        self.audit = observers.audit
         #: Optional :class:`~repro.obs.slo.SloEngine` fed one
         #: observation per terminal outcome (served or rejected).
-        self.slo = slo
-        self.admission = admission or AdmissionController(audit=self.audit)
-        self.metrics = metrics or ServiceMetrics()
-        self.workers = [WorkerState(i) for i in range(workers)]
-        self.outcomes: list[QueryOutcome] = []
-        self.now_ms = 0.0
-        self._pending: list[Query] = []
+        self.slo = observers.slo
         #: Optional :class:`~repro.faults.injector.FaultInjector`;
         #: threaded into every engine the executor builds and visited
         #: at the service's own sites (queue, registry, worker).
-        self.fault_injector = fault_injector
-        #: Optional :class:`~repro.telemetry.tracer.Tracer`. Every
-        #: dispatch opens a top-level ``service.dispatch`` span (one
-        #: trace per dispatch), threads the tracer into the engines it
-        #: builds, and tags recovery decisions as point events.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        if fault_injector is not None and self.tracer.enabled:
-            fault_injector.bind_tracer(self.tracer)
+        self.fault_injector = observers.fault_injector
+        #: Every dispatch opens a top-level ``service.dispatch`` span
+        #: (one trace per dispatch); the executor threads the same
+        #: tracer into the engines it builds.
+        self.tracer = observers.tracer
+        self.admission = AdmissionController(config, observers)
+        # bounded_metrics swaps exact per-class latency lists for the
+        # mergeable log-bucket sketches (O(buckets) memory); the
+        # default keeps exact percentiles so summaries stay
+        # byte-identical.
+        self.metrics = ServiceMetrics(exact_percentiles=not config.bounded_metrics)
+        #: The execution plane this scheduler dispatches onto.
+        self.executor = ExecutionEngine(config, observers, metrics=self.metrics)
+        self.workers = [WorkerState(i) for i in range(config.workers)]
+        self.outcomes: list[QueryOutcome] = []
+        self.now_ms = 0.0
+        self._pending: list[Query] = []
         #: Span-track namespace, e.g. ``"replica3."`` in a cluster —
         #: dispatch spans land on ``"<prefix>worker<i>"`` so every
         #: replica's workers get their own telemetry tracks.
         self.track_prefix = track_prefix
-        #: The execution plane this scheduler dispatches onto. Built
-        #: here unless the caller composes one explicitly (the cluster
-        #: layer does, to share pieces across replicas).
-        self.executor = executor or ExecutionEngine(
-            metrics=self.metrics,
-            scaled_cache=scaled_cache,
-            num_gcds=num_gcds,
-            distributed_threshold_bytes=distributed_threshold_bytes,
-            linalg_batch_threshold=linalg_batch_threshold,
-            partition=partition,
-            fault_injector=fault_injector,
-            recovery=recovery,
-            tracer=self.tracer,
-            audit=self.audit,
-        )
-        # The batch cap is engine-aware: ``None`` adopts the executor's
-        # cap (64 on the concurrent path, the bitmap engine's cap with
-        # the linalg tier enabled); an explicit value is validated
-        # against it with a typed error naming the active engine.
-        cap = self.executor.batch_cap
-        if max_batch is None:
-            max_batch = cap
-        elif not 1 <= max_batch <= cap:
-            raise BatchLimitError(
-                f"max_batch must be in 1..{cap} (the {self.executor.batch_cap_engine} "
-                f"engine's batch capacity), got {max_batch}"
-            )
-        self.max_batch = max_batch
         #: Dispatches issued so far (batch id in traces).
         self._batch_seq = 0
 
     # ------------------------------------------------------------------
-    # Execution-policy attributes live on the executor; mirror them so
-    # scheduler-level callers (and older call sites) keep one facade.
-    @property
-    def num_gcds(self) -> int:
-        return self.executor.num_gcds
-
-    @property
-    def distributed_threshold_bytes(self) -> int | None:
-        return self.executor.distributed_threshold_bytes
-
-    @property
-    def linalg_batch_threshold(self) -> int | None:
-        return self.executor.linalg_batch_threshold
-
-    @property
-    def partition(self) -> str:
-        return self.executor.partition
-
-    @property
-    def recovery(self):
-        return self.executor.recovery
-
-    @property
-    def scaled_cache(self) -> bool:
-        return self.executor.scaled_cache
-
     @property
     def queue_depth(self) -> int:
         return len(self._pending)
@@ -310,7 +240,7 @@ class CoalescingScheduler:
         """Dispatch every group whose coalescing window closed by ``now``."""
         while self._pending:
             anchor = self._pending[0]
-            close = anchor.arrival_ms + self.window_ms
+            close = anchor.arrival_ms + self.config.window_ms
             if close > now:
                 break
             self._dispatch_group(anchor, close)

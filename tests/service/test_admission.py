@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import AdmissionError, DeadlineExceededError, QueueFullError
-from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.admission import AdmissionController
+from repro.service.config import ServiceConfig
 from repro.service.request import Query
 
 
@@ -14,20 +15,20 @@ def q(qid=0, arrival=0.0, deadline=None):
 
 class TestQueueDepth:
     def test_admit_below_limit(self):
-        ctl = AdmissionController(AdmissionPolicy(max_queue_depth=2))
+        ctl = AdmissionController(ServiceConfig(max_queue_depth=2))
         ctl.admit(q(0), queue_depth=0)
         ctl.admit(q(1), queue_depth=1)
         assert ctl.admitted == 2
 
     def test_reject_at_limit_is_typed(self):
-        ctl = AdmissionController(AdmissionPolicy(max_queue_depth=2))
+        ctl = AdmissionController(ServiceConfig(max_queue_depth=2))
         with pytest.raises(QueueFullError) as exc:
             ctl.admit(q(2), queue_depth=2)
         assert isinstance(exc.value, AdmissionError)
         assert ctl.rejected_queue_full == 1
 
     def test_rejection_counts_accumulate(self):
-        ctl = AdmissionController(AdmissionPolicy(max_queue_depth=1))
+        ctl = AdmissionController(ServiceConfig(max_queue_depth=1))
         for i in range(3):
             with pytest.raises(QueueFullError):
                 ctl.admit(q(i), queue_depth=5)
@@ -51,13 +52,13 @@ class TestDeadlines:
         assert ctl.rejected_deadline == 1
 
     def test_default_deadline_applies(self):
-        ctl = AdmissionController(AdmissionPolicy(default_deadline_ms=5.0))
+        ctl = AdmissionController(ServiceConfig(default_deadline_ms=5.0))
         assert ctl.deadline_of(q(0)) == 5.0
         with pytest.raises(DeadlineExceededError):
             ctl.check_deadline(q(0, arrival=0.0), start_ms=6.0)
 
     def test_query_deadline_overrides_default(self):
-        ctl = AdmissionController(AdmissionPolicy(default_deadline_ms=5.0))
+        ctl = AdmissionController(ServiceConfig(default_deadline_ms=5.0))
         assert ctl.deadline_of(q(0, deadline=50.0)) == 50.0
         ctl.check_deadline(q(0, arrival=0.0, deadline=50.0), start_ms=40.0)
 
@@ -65,8 +66,8 @@ class TestDeadlines:
 class TestPolicyValidation:
     def test_bad_depth(self):
         with pytest.raises(ValueError):
-            AdmissionPolicy(max_queue_depth=0)
+            ServiceConfig(max_queue_depth=0)
 
     def test_bad_deadline(self):
         with pytest.raises(ValueError):
-            AdmissionPolicy(default_deadline_ms=0.0)
+            ServiceConfig(default_deadline_ms=0.0)

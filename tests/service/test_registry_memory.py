@@ -1,6 +1,7 @@
-"""Retired graph versions and dropped services are freed by reference
-counting alone: no entry or engine slot strongly references its owner,
-so nothing waits for a cyclic-GC pass."""
+"""Retired graph versions, dropped services and dropped clusters are
+freed by reference counting alone: no entry, engine slot or builder
+closure strongly references its owner, so nothing waits for a
+cyclic-GC pass."""
 
 import gc
 import weakref
@@ -8,6 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.cluster import ClusterRouter, multi_tenant_trace
 from repro.graph.delta import GraphDelta, random_delta
 from repro.graph.generators import rmat
 from repro.service import BFSService, Query
@@ -92,6 +94,21 @@ def test_dropped_service_leaves_no_cyclic_garbage():
         entry, _ = svc.registry.get("rmat:8")
         assert entry.version == 1 and entry.engines
         del svc, report, queries, entry
+        assert cyclic_repro_garbage() == []
+
+
+def test_dropped_router_leaves_no_cyclic_garbage():
+    """The router's shared graph cache and placement sizing close over
+    a local cache, never the router, so dropping a cluster with warm
+    replicas frees it by reference counting alone."""
+    with gc_disabled():
+        router = ClusterRouter(replicas=3, workers=1)
+        sizes = {"rmat:8": 256, "rmat:9": 512}
+        trace = multi_tenant_trace(list(sizes), sizes, num_queries=48, seed=1)
+        report = router.replay(trace)
+        assert report.served
+        assert all(len(r.registry) for r in router.replicas)
+        del router, report, trace
         assert cyclic_repro_garbage() == []
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import QueueFullError, ServiceError
 from repro.graph.generators import rmat
-from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.config import Observers, ServiceConfig
 from repro.service.registry import GraphRegistry
 from repro.service.request import Query, QueryOptions
 from repro.service.scheduler import CoalescingScheduler
@@ -15,11 +15,15 @@ def _builder(spec: str):
     return rmat(int(spec), 8, seed=0)
 
 
-def make_scheduler(**kwargs):
+def make_scheduler(fault_injector=None, **settings):
     registry = GraphRegistry(memory_budget_bytes=1 << 30, builder=_builder)
-    kwargs.setdefault("workers", 2)
-    kwargs.setdefault("window_ms", 5.0)
-    return CoalescingScheduler(registry, **kwargs)
+    settings.setdefault("workers", 2)
+    settings.setdefault("window_ms", 5.0)
+    return CoalescingScheduler(
+        registry,
+        ServiceConfig(**settings),
+        Observers.of(fault_injector=fault_injector),
+    )
 
 
 def burst(graph, sources, t=0.0, start_qid=0, **query_kwargs):
@@ -155,9 +159,7 @@ class TestWorkersAndTiming:
 
 class TestAdmissionIntegration:
     def test_queue_full_raises_and_records(self):
-        sched = make_scheduler(
-            admission=AdmissionController(AdmissionPolicy(max_queue_depth=2))
-        )
+        sched = make_scheduler(max_queue_depth=2)
         sched.submit(Query(qid=0, graph="9", source=1, arrival_ms=0.0))
         sched.submit(Query(qid=1, graph="9", source=2, arrival_ms=0.0))
         with pytest.raises(QueueFullError):
@@ -187,9 +189,7 @@ class TestAdmissionIntegration:
         sched = make_scheduler(
             workers=1,
             window_ms=0.0,
-            admission=AdmissionController(
-                AdmissionPolicy(default_deadline_ms=5.0)
-            ),
+            default_deadline_ms=5.0,
         )
         # Occupies the only worker well past 5 ms (cold build + run).
         sched.submit(Query(qid=0, graph="12", source=1, arrival_ms=0.0))
@@ -216,9 +216,7 @@ class TestAdmissionIntegration:
         sched = make_scheduler(
             workers=1,
             window_ms=0.0,
-            admission=AdmissionController(
-                AdmissionPolicy(default_deadline_ms=1e-6)
-            ),
+            default_deadline_ms=1e-6,
         )
         # A generous explicit deadline wins over the impossible default.
         sched.submit(Query(qid=0, graph="9", source=1, arrival_ms=0.0,
@@ -240,9 +238,7 @@ class TestAdmissionIntegration:
             workers=1,
             window_ms=0.0,
             fault_injector=plan.injector(),
-            admission=AdmissionController(
-                AdmissionPolicy(default_deadline_ms=50.0)
-            ),
+            default_deadline_ms=50.0,
         )
         sched.submit(Query(qid=0, graph="12", source=1, arrival_ms=0.0))
         sched.run_until_idle()  # 50x slower than modelled
@@ -257,9 +253,7 @@ class TestAdmissionIntegration:
         clean = make_scheduler(
             workers=1,
             window_ms=0.0,
-            admission=AdmissionController(
-                AdmissionPolicy(default_deadline_ms=50.0)
-            ),
+            default_deadline_ms=50.0,
         )
         clean.submit(Query(qid=0, graph="12", source=1, arrival_ms=0.0))
         clean.run_until_idle()

@@ -77,6 +77,7 @@ MODULES = [
     "repro.faults.injector",
     "repro.faults.recovery",
     "repro.faults.chaos",
+    "repro.service.config",
     "repro.service.request",
     "repro.service.registry",
     "repro.service.admission",

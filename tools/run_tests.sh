@@ -10,11 +10,15 @@
 #                                 # the distributed engine + the serving
 #                                 # layer that routes onto it (engine
 #                                 # routing, registry accounting, the
-#                                 # routing differential contract)
+#                                 # routing differential contract, the
+#                                 # one ServiceConfig and its typed
+#                                 # validation, router memory release)
 #   tools/run_tests.sh cluster    # the sharded multi-replica layer
 #                                 # (placement, QoS/quotas, replica
-#                                 # death, work stealing) + the
-#                                 # scale-out bench
+#                                 # death, work stealing, one config
+#                                 # reaching every replica, no cyclic
+#                                 # garbage from a dropped router) +
+#                                 # the scale-out bench
 #   tools/run_tests.sh linalg     # the bitmap linear-algebra tier: the
 #                                 # batch engine, its routing contract
 #                                 # and the batch-width bench vs the
@@ -68,10 +72,13 @@ case "$tier" in
     python -m pytest benchmarks/bench_telemetry_overhead.py -s "$@"
     ;;
   multigcd-service)
-    python -m pytest tests/multigcd tests/service -m "not slow" "$@"
+    python -m pytest tests/multigcd tests/service \
+      tests/service/test_config.py tests/service/test_registry_memory.py \
+      -m "not slow" "$@"
     ;;
   cluster)
-    python -m pytest tests/cluster "$@"
+    python -m pytest tests/cluster tests/service/test_config.py \
+      tests/service/test_registry_memory.py "$@"
     python -m pytest benchmarks/bench_cluster_scaleout.py benchmarks/bench_routing.py -s "$@"
     ;;
   linalg)
