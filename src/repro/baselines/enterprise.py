@@ -26,7 +26,7 @@ from repro.graph.csr import CSRGraph
 from repro.xbfs.common import (
     UNVISITED,
     first_match_per_segment,
-    gather_neighbors,
+    gather_neighbor_ids,
     segment_lines_touched,
     wavefront_serialized_steps,
 )
@@ -132,7 +132,7 @@ class EnterpriseBFS:
                 incoming = self.reverse_graph
                 unvisited = np.flatnonzero(levels == UNVISITED).astype(np.int64)
                 degs = incoming.degrees[unvisited]
-                neighbors, _ = gather_neighbors(incoming, unvisited)
+                neighbors = gather_neighbor_ids(incoming, unvisited)
                 match = levels[neighbors] == level
                 first = first_match_per_segment(match, degs)
                 found = first >= 0
@@ -163,7 +163,7 @@ class EnterpriseBFS:
                 )
                 levels[unvisited[found]] = level + 1
             else:
-                neighbors, _ = gather_neighbors(graph, frontier)
+                neighbors = gather_neighbor_ids(graph, frontier)
                 e_f = int(neighbors.size)
                 adj_lines = segment_lines_touched(
                     graph.row_offsets[frontier], graph.degrees[frontier],

@@ -29,7 +29,7 @@ from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read, seq_write
 from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
-from repro.xbfs.common import UNVISITED, gather_neighbors, segment_lines_touched
+from repro.xbfs.common import UNVISITED, gather_neighbor_ids, segment_lines_touched
 from repro.baselines.base import BaselineBatch, BaselineResult
 
 __all__ = ["GunrockBFS"]
@@ -90,7 +90,7 @@ class GunrockBFS:
         line = gcd.device.cache_line_bytes
 
         while frontier.size:
-            neighbors, _owner = gather_neighbors(graph, frontier)
+            neighbors = gather_neighbor_ids(graph, frontier)
             e_f = int(neighbors.size)
             adj_lines = segment_lines_touched(
                 graph.row_offsets[frontier],

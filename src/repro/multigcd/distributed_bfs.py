@@ -53,7 +53,12 @@ from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
 from repro.multigcd.exchange import ExchangeCodec
 from repro.multigcd.partition import Partition1D, partition_by_edges
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.xbfs.common import UNVISITED, gather_neighbors, segment_lines_touched
+from repro.xbfs.common import (
+    UNVISITED,
+    gather_neighbor_ids,
+    segment_lines_touched,
+    validate_source,
+)
 from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = ["MultiGcdBFS", "DistributedResult", "DistributedBatchResult"]
@@ -329,7 +334,7 @@ class MultiGcdBFS:
             before = gcds[g].elapsed_ms
             if local_unvisited.size:
                 degs = incoming.degrees[local_unvisited]
-                nbrs, _ = gather_neighbors(incoming, local_unvisited)
+                nbrs = gather_neighbor_ids(incoming, local_unvisited)
                 match = in_frontier[nbrs]
                 first = first_match_per_segment(match, degs)
                 found = first >= 0
@@ -378,8 +383,7 @@ class MultiGcdBFS:
         graph = self.graph
         part = self.partition
         p = self.num_gcds
-        if not 0 <= source < graph.num_vertices:
-            raise TraversalError(f"source {source} out of range")
+        source = validate_source(source, graph.num_vertices)
         if self._gcds is None:
             self._gcds = [
                 GCD(self.device, self.config, injector=self.injector)
@@ -520,7 +524,7 @@ class MultiGcdBFS:
                 local = frontier[owners == g]
                 before = gcds[g].elapsed_ms
                 if local.size:
-                    neighbors, _ = gather_neighbors(graph, local)
+                    neighbors = gather_neighbor_ids(graph, local)
                     e_f = int(neighbors.size)
                     fresh = neighbors[levels[neighbors] == UNVISITED]
                     fresh = np.unique(fresh).astype(np.int64)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import PartitionError, TraversalError
+from repro.errors import PartitionError
 from repro.gcd.device import DeviceProfile, MI250X_GCD
 from repro.gcd.kernel import ComputeWork, ExecConfig
 from repro.gcd.memory import rand_read, rand_write, segmented_read, seq_read
@@ -47,7 +47,11 @@ from repro.multigcd.comm import INFINITY_FABRIC, InterconnectModel
 from repro.multigcd.distributed_bfs import DistributedBatchResult
 from repro.multigcd.exchange import ExchangeCodec
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.xbfs.common import gather_neighbors, segment_lines_touched
+from repro.xbfs.common import (
+    gather_neighbor_ids,
+    segment_lines_touched,
+    validate_source,
+)
 from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = ["Grid2dBFS", "Grid2dResult"]
@@ -127,6 +131,29 @@ def _square_grid(p: int) -> tuple[int, int]:
     return r, p // r
 
 
+def _row_block_degrees(graph: CSRGraph, row_bounds: np.ndarray) -> np.ndarray:
+    """``table[v, i]``: how many of ``v``'s out-edges land in row block
+    ``i`` (``row_bounds[i] <= u < row_bounds[i + 1]``).
+
+    One prefix sum of ``col_indices < row_bounds[i + 1]`` per block,
+    read at the CSR row boundaries, counts each vertex's edges below
+    that bound — no assumption about the order within a row. Rows sum
+    to ``graph.degrees``.
+    """
+    offsets = graph.row_offsets
+    rows = len(row_bounds) - 1
+    table = np.empty((graph.num_vertices, rows), dtype=np.int64)
+    below = np.zeros(graph.num_vertices, dtype=np.int64)
+    prefix = np.zeros(graph.num_edges + 1, dtype=np.int64)
+    for i in range(rows - 1):
+        np.cumsum(graph.col_indices < row_bounds[i + 1], out=prefix[1:])
+        upto = prefix[offsets[1:]] - prefix[offsets[:-1]]
+        table[:, i] = upto - below
+        below = upto
+    table[:, rows - 1] = graph.degrees - below
+    return table
+
+
 class Grid2dBFS:
     """Bulk-synchronous BFS on an R×C GCD grid.
 
@@ -134,6 +161,15 @@ class Grid2dBFS:
     row blocks (discovery ownership); tile (i, j) holds the edges from
     row block i's vertices to column block j's vertices. ``num_gcds``
     must factor into a grid (a square count is ideal).
+
+    Tile charges come from graph structure computed once per engine:
+    ``row_block_degrees[v, i]`` counts ``v``'s out-edges that land in
+    row block i. A level then charges tile (i, j) the table's column i
+    summed over the frontier vertices of column block j, and expands
+    the ones with a non-zero entry — host work proportional to the
+    frontier, not to its gathered edges. The table is host-side
+    bookkeeping (``n × R`` counts), not part of the modelled
+    ``warm_bytes``.
     """
 
     def __init__(
@@ -161,6 +197,10 @@ class Grid2dBFS:
         #: Vertex block boundaries along each grid dimension.
         self.row_bounds = np.linspace(0, n, self.rows + 1).astype(np.int64)
         self.col_bounds = np.linspace(0, n, self.cols + 1).astype(np.int64)
+        #: ``(n, rows)`` out-edge counts per vertex and row block.
+        self.row_block_degrees = _row_block_degrees(graph, self.row_bounds)
+        #: Level scratch marking edge heads; all False between levels.
+        self._heads = np.zeros(n, dtype=bool)
         #: Optional :class:`~repro.faults.injector.FaultInjector`;
         #: member GCDs share it, and the ``multigcd.exchange`` site
         #: covers both collective phases (detail
@@ -206,7 +246,8 @@ class Grid2dBFS:
     ) -> tuple[np.ndarray, int, int, float]:
         """Run one codec-compressed block collective.
 
-        Splits ``vertices`` into the blocks delimited by ``bounds``,
+        Splits the sorted, duplicate-free ``vertices`` into the blocks
+        delimited by ``bounds``,
         encodes each block's message, ships ``fan`` copies of it (the
         sub-communicator's peer-pair count), and rebuilds the vertex
         set from the *decoded* messages. Returns
@@ -218,9 +259,10 @@ class Grid2dBFS:
         pieces: list[np.ndarray] = []
         wire = raw = 0
         worst = 0
+        cuts = np.searchsorted(vertices, bounds)
         for b in range(len(bounds) - 1):
             lo, hi = int(bounds[b]), int(bounds[b + 1])
-            mine = vertices[(vertices >= lo) & (vertices < hi)]
+            mine = vertices[cuts[b] : cuts[b + 1]]
             if fan == 0:
                 pieces.append(mine)
                 continue
@@ -242,10 +284,7 @@ class Grid2dBFS:
 
     # ------------------------------------------------------------------
     def run(self, source: int) -> Grid2dResult:
-        graph = self.graph
-        n = graph.num_vertices
-        if not 0 <= source < n:
-            raise TraversalError(f"source {source} out of range")
+        source = validate_source(source, self.graph.num_vertices)
         if self._gcds is None:
             self._gcds = [
                 GCD(self.device, self.config, injector=self.injector)
@@ -278,6 +317,41 @@ class Grid2dBFS:
         return DistributedBatchResult(
             sources=sources, runs=runs, num_gcds=self.num_gcds
         )
+
+    def _charge_tiles(
+        self, frontier: np.ndarray, levels: np.ndarray
+    ) -> tuple[np.ndarray, list[tuple[int, np.ndarray, int]]]:
+        """One level's expansion, read off the row-block degree table.
+
+        Returns the sorted fresh vertices ``frontier`` discovers and,
+        in launch order (row-major over the grid), ``(gcd,
+        local_frontier, edges)`` for every tile with edges to expand:
+        tile (i, j) expands the frontier vertices of column block j
+        with out-edges into row block i, and is charged all of those
+        edges. ``frontier`` must be sorted and duplicate-free (the
+        source, a ``flatnonzero`` result, or decoded blocks joined in
+        block order), so column block j is one slice of it.
+        """
+        heads = self._heads
+        heads[gather_neighbor_ids(self.graph, frontier)] = True
+        np.logical_and(heads, levels == -1, out=heads)
+        discovered = np.flatnonzero(heads)
+        heads[discovered] = False
+        cuts = np.searchsorted(frontier, self.col_bounds)
+        frontier_degrees = self.row_block_degrees[frontier]
+        tiles = []
+        for i in range(self.rows):
+            for j in range(self.cols):
+                lo, hi = cuts[j], cuts[j + 1]
+                tile_degrees = frontier_degrees[lo:hi, i]
+                e_tile = int(tile_degrees.sum())
+                if e_tile:
+                    tiles.append((
+                        i * self.cols + j,
+                        frontier[lo:hi][tile_degrees > 0],
+                        e_tile,
+                    ))
+        return discovered, tiles
 
     def _traverse(self, gcds: list[GCD], source: int) -> Grid2dResult:
         graph = self.graph
@@ -325,59 +399,40 @@ class Grid2dBFS:
             ag_ms *= self._exchange_scale(level, "allgather")
             allgather_bytes += ag_bytes
 
-            # Phase 2: local tile expansion. Tile (i, j) expands the
-            # frontier vertices in column block j whose out-edges land
-            # in row block i; we charge each tile its share of the
-            # frontier's adjacency.
-            neighbors, owner = gather_neighbors(graph, frontier)
-            fresh_mask = levels[neighbors] == -1
-            discovered = np.unique(neighbors[fresh_mask]).astype(np.int64)
+            # Phase 2: local tile expansion, one launch per tile with
+            # edges to expand.
+            discovered, tiles = self._charge_tiles(frontier, levels)
             tile_ms = 0.0
-            col_of_frontier = np.searchsorted(
-                self.col_bounds, frontier, side="right"
-            ) - 1
-            row_of_neighbor = np.searchsorted(
-                self.row_bounds, neighbors, side="right"
-            ) - 1
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    g = i * self.cols + j
-                    in_tile = (row_of_neighbor == i) & (
-                        col_of_frontier[owner] == j
-                    )
-                    e_tile = int(np.count_nonzero(in_tile))
-                    if e_tile == 0:
-                        continue
-                    local_frontier = np.unique(frontier[owner[in_tile]])
-                    before = gcds[g].elapsed_ms
-                    adj_lines = segment_lines_touched(
-                        graph.row_offsets[local_frontier],
-                        graph.degrees[local_frontier],
-                        element_bytes=4,
-                        line_bytes=line,
-                    )
-                    gcds[g].launch(
-                        "g2d_tile_expand",
-                        strategy="grid2d",
-                        level=level,
-                        streams=[
-                            seq_read("frontier_bits", slice_bits, 1),
-                            rand_read(
-                                "beg_pos",
-                                2 * int(local_frontier.size),
-                                2 * int(local_frontier.size),
-                                8,
-                            ),
-                            segmented_read("tile_cols", e_tile, adj_lines, 4),
-                            rand_write(
-                                "discovery_bits", e_tile, -(-n // self.rows) // 8, 1
-                            ),
-                        ],
-                        work=ComputeWork(flat_ops=float(e_tile + local_frontier.size)),
-                        work_items=int(local_frontier.size),
-                    )
-                    gcds[g].sync()
-                    tile_ms = max(tile_ms, gcds[g].elapsed_ms - before)
+            for g, local_frontier, e_tile in tiles:
+                before = gcds[g].elapsed_ms
+                adj_lines = segment_lines_touched(
+                    graph.row_offsets[local_frontier],
+                    graph.degrees[local_frontier],
+                    element_bytes=4,
+                    line_bytes=line,
+                )
+                gcds[g].launch(
+                    "g2d_tile_expand",
+                    strategy="grid2d",
+                    level=level,
+                    streams=[
+                        seq_read("frontier_bits", slice_bits, 1),
+                        rand_read(
+                            "beg_pos",
+                            2 * int(local_frontier.size),
+                            2 * int(local_frontier.size),
+                            8,
+                        ),
+                        segmented_read("tile_cols", e_tile, adj_lines, 4),
+                        rand_write(
+                            "discovery_bits", e_tile, -(-n // self.rows) // 8, 1
+                        ),
+                    ],
+                    work=ComputeWork(flat_ops=float(e_tile + local_frontier.size)),
+                    work_items=int(local_frontier.size),
+                )
+                gcds[g].sync()
+                tile_ms = max(tile_ms, gcds[g].elapsed_ms - before)
 
             # Phase 3: row reduce-scatter of discovery bits to owners.
             rs_fan = self.cols * (self.cols - 1)

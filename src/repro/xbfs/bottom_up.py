@@ -56,7 +56,7 @@ from repro.xbfs.common import (
     UNVISITED,
     blocked_first_match,
     first_match_per_segment,
-    gather_neighbors,
+    gather_neighbor_ids,
     segment_ids,
     segment_lines_touched,
     wavefront_serialized_steps,
@@ -201,7 +201,7 @@ def run_level(
     neighbors = None  # full gather exists only on the reference path
     with prof.timer("bu_probe"):
         if impl == "reference":
-            neighbors, _owner = gather_neighbors(incoming, queue)
+            neighbors = gather_neighbor_ids(incoming, queue)
             match = status.levels[neighbors] == level
             first = first_match_per_segment(match, degs)
         else:

@@ -11,6 +11,8 @@ interpreter.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.errors import TraversalError
@@ -18,6 +20,7 @@ from repro.graph.csr import CSRGraph
 
 __all__ = [
     "gather_neighbors",
+    "gather_neighbor_ids",
     "segment_ids",
     "first_match_per_segment",
     "blocked_first_match",
@@ -26,6 +29,7 @@ __all__ = [
     "wavefront_serialized_steps",
     "UNVISITED",
     "DEFAULT_PROBE_BLOCK",
+    "validate_source",
 ]
 
 #: Status-array sentinel for "never visited".
@@ -60,15 +64,34 @@ def segment_ids(lengths: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
 
 
-def gather_neighbors(
+def validate_source(source, num_vertices: int) -> int:
+    """Check one BFS source vertex and return it as a plain ``int``.
+
+    Accepts Python and numpy integers in ``[0, num_vertices)``. Bools
+    are refused even though they index like 0/1 (a scalar bool used as
+    an index is a mask, which would seed every vertex), as are floats,
+    strings and anything else without an exact integer value; every
+    refusal is the typed :class:`~repro.errors.TraversalError`.
+    """
+    message = f"source must be an integer vertex id, got {source!r}"
+    if isinstance(source, (bool, np.bool_)):
+        raise TraversalError(message)
+    try:
+        vertex = operator.index(source)
+    except TypeError:
+        raise TraversalError(message) from None
+    if not 0 <= vertex < num_vertices:
+        raise TraversalError(
+            f"source {vertex} out of range [0, {num_vertices})"
+        )
+    return vertex
+
+
+def _edge_slots(
     graph: CSRGraph, vertices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate the adjacency lists of ``vertices``.
-
-    Returns ``(neighbors, owner_pos)`` where ``owner_pos[i]`` is the
-    index *into vertices* whose list produced ``neighbors[i]``. This is
-    the edge-parallel expansion every top-down kernel performs.
-    """
+    """Flat ``col_indices`` positions of the adjacency of ``vertices``
+    (in order), plus each vertex's degree."""
     vertices = np.asarray(vertices, dtype=np.int64)
     # One-pass bounds check: reinterpreting int64 as uint64 maps any
     # negative id above every valid vertex, so a single max() catches
@@ -79,16 +102,33 @@ def gather_neighbors(
     counts = graph.degrees[vertices]
     total = int(counts.sum())
     if total == 0:
-        return (
-            np.zeros(0, dtype=graph.col_indices.dtype),
-            np.zeros(0, dtype=np.int64),
-        )
-    owner = segment_ids(counts)
-    # Flat edge index: start of each owner segment plus intra-segment rank.
-    seg_begin = np.repeat(np.cumsum(counts) - counts, counts)
-    intra = shared_arange(total) - seg_begin
-    flat = np.repeat(starts, counts) + intra
-    return graph.col_indices[flat], owner
+        return np.zeros(0, dtype=np.int64), counts
+    # Flat edge index: segment start plus intra-segment rank. The rank's
+    # segment offset is folded into the repeated base, so one |E|-sized
+    # repeat builds the index.
+    base = starts - (np.cumsum(counts) - counts)
+    return np.repeat(base, counts) + shared_arange(total), counts
+
+
+def gather_neighbor_ids(graph: CSRGraph, vertices: np.ndarray) -> np.ndarray:
+    """Concatenated adjacency lists of ``vertices`` — the neighbours
+    half of :func:`gather_neighbors`, for callers that never ask which
+    vertex produced an edge."""
+    flat, _ = _edge_slots(graph, vertices)
+    return graph.col_indices[flat]
+
+
+def gather_neighbors(
+    graph: CSRGraph, vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate the adjacency lists of ``vertices``.
+
+    Returns ``(neighbors, owner_pos)`` where ``owner_pos[i]`` is the
+    index *into vertices* whose list produced ``neighbors[i]``. This is
+    the edge-parallel expansion every top-down kernel performs.
+    """
+    flat, counts = _edge_slots(graph, vertices)
+    return graph.col_indices[flat], segment_ids(counts)
 
 
 def first_match_per_segment(

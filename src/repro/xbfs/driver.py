@@ -35,7 +35,7 @@ from repro.xbfs.classifier import (
     AdaptiveClassifier,
     Decision,
 )
-from repro.xbfs.common import DEFAULT_PROBE_BLOCK
+from repro.xbfs.common import DEFAULT_PROBE_BLOCK, validate_source
 from repro.xbfs.level import LevelResult
 from repro.xbfs.scratch import ScratchPool
 from repro.xbfs.status import StatusArray
@@ -253,10 +253,7 @@ class XBFS:
         :func:`repro.baselines.serial.validate_parents`).
         """
         graph = self.graph
-        if not 0 <= source < graph.num_vertices:
-            raise TraversalError(
-                f"source {source} out of range [0, {graph.num_vertices})"
-            )
+        source = validate_source(source, graph.num_vertices)
         if force_strategy is not None and force_strategy not in (
             SCAN_FREE,
             SINGLE_SCAN,

@@ -55,7 +55,11 @@ from repro.perf import NULL_PROFILER, HostProfiler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import BOTTOM_UP, SINGLE_SCAN, AdaptiveClassifier, Decision
-from repro.xbfs.common import gather_neighbors, segment_lines_touched
+from repro.xbfs.common import (
+    gather_neighbor_ids,
+    gather_neighbors,
+    segment_lines_touched,
+)
 from repro.xbfs.concurrent import validate_batch_sources
 
 __all__ = [
@@ -466,7 +470,7 @@ class LinAlgBatchBFS:
         words = frontier.shape[1]
         missing = bm.fresh_mask(full[np.newaxis, :], visited)
         cand = bm.occupied_rows(missing)
-        neighbors, _ = gather_neighbors(rev, cand)
+        neighbors = gather_neighbor_ids(rev, cand)
         e_cand = int(neighbors.size)
         gathered = bm.segment_or_rows(
             frontier[neighbors], rev.degrees[cand]

@@ -12,7 +12,9 @@
 #                                 # routing, registry accounting, the
 #                                 # routing differential contract, the
 #                                 # one ServiceConfig and its typed
-#                                 # validation, router memory release)
+#                                 # validation, router memory release,
+#                                 # the 2D tile-accounting differential
+#                                 # and typed engine-source validation)
 #   tools/run_tests.sh cluster    # the sharded multi-replica layer
 #                                 # (placement, QoS/quotas, replica
 #                                 # death, work stealing, one config
@@ -26,9 +28,11 @@
 #   tools/run_tests.sh multigcd-scaling
 #                                 # the exchange plane: codec property
 #                                 # tests, overlap accounting, the 2D
-#                                 # grid differential wall, partition
-#                                 # routing and the 2->64 GCD scaling
-#                                 # bench
+#                                 # grid differential wall, the 2D
+#                                 # tile accounting against its
+#                                 # per-edge reference, engine-source
+#                                 # validation, partition routing and
+#                                 # the 2->64 GCD scaling bench
 #   tools/run_tests.sh mutation   # the dynamic-graph tier: edge
 #                                 # deltas, the CSR splice against its
 #                                 # from-scratch reference, versioned
@@ -74,6 +78,7 @@ case "$tier" in
   multigcd-service)
     python -m pytest tests/multigcd tests/service \
       tests/service/test_config.py tests/service/test_registry_memory.py \
+      tests/multigcd/test_grid2d_tiles.py tests/xbfs/test_validate_source.py \
       -m "not slow" "$@"
     ;;
   cluster)
@@ -87,7 +92,8 @@ case "$tier" in
     ;;
   multigcd-scaling)
     python -m pytest tests/multigcd/test_exchange.py tests/multigcd/test_overlap.py \
-      tests/multigcd/test_grid2d_differential.py tests/service/test_partition_routing.py "$@"
+      tests/multigcd/test_grid2d_differential.py tests/multigcd/test_grid2d_tiles.py \
+      tests/xbfs/test_validate_source.py tests/service/test_partition_routing.py "$@"
     python -m pytest benchmarks/bench_multigcd_scaling.py -s "$@"
     ;;
   mutation)
