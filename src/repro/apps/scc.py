@@ -59,7 +59,7 @@ def strongly_connected_components(
     if n == 0:
         raise TraversalError("empty graph")
     forward = XBFS(graph, device=device, config=config)
-    backward = XBFS(graph.reverse(), device=device, config=config)
+    backward = XBFS(graph.transpose, device=device, config=config)
 
     labels = np.full(n, -1, dtype=np.int64)
     # Work-list of candidate masks to decompose (FW-BW partitions).

@@ -55,14 +55,6 @@ class EnterpriseBFS:
         self.config = config or ExecConfig()
         self.bottom_up_threshold = bottom_up_threshold
         self._gcd: GCD | None = None
-        self._reverse: CSRGraph | None = None
-
-    @property
-    def reverse_graph(self) -> CSRGraph:
-        """Transpose adjacency for the bottom-up direction (lazy)."""
-        if self._reverse is None:
-            self._reverse = self.graph.reverse()
-        return self._reverse
 
     # ------------------------------------------------------------------
     def _scan_generate(self, levels: np.ndarray, level: int, gcd: GCD) -> np.ndarray:
@@ -129,7 +121,7 @@ class EnterpriseBFS:
             if ratio > self.bottom_up_threshold:
                 # Direction switch: bottom-up expansion over unvisited,
                 # probing *incoming* edges (transpose adjacency).
-                incoming = self.reverse_graph
+                incoming = graph.transpose
                 unvisited = np.flatnonzero(levels == UNVISITED).astype(np.int64)
                 degs = incoming.degrees[unvisited]
                 neighbors = gather_neighbor_ids(incoming, unvisited)

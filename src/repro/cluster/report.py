@@ -101,6 +101,10 @@ class ClusterReport:
             "rejected_queue_full": rejected["queue_full"],
             "rejected_deadline": rejected["deadline"],
             "rejected_quota": rejected["quota"],
+            **(
+                {"rejected_source": rejected["source"]}
+                if rejected.get("source") else {}
+            ),
             "p50_ms": percentile(lat, 50),
             "p95_ms": percentile(lat, 95),
             "p99_ms": percentile(lat, 99),

@@ -24,6 +24,7 @@ __all__ = [
     "QueueFullError",
     "DeadlineExceededError",
     "QuotaExceededError",
+    "InvalidSourceError",
     "ClusterError",
     "GraphTooLargeError",
     "MutationError",
@@ -128,6 +129,14 @@ class QuotaExceededError(AdmissionError):
     queue."""
 
     kind = "quota"
+
+
+class InvalidSourceError(AdmissionError):
+    """The query's source is not a vertex of its graph (out of range,
+    or not an integer id). Refused alone when its group is dispatched,
+    so it never reaches the batch it would have joined."""
+
+    kind = "source"
 
 
 class ClusterError(ServiceError):

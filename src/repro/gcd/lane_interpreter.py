@@ -177,13 +177,12 @@ class LaneInterpreter:
         status[source] = 0
         frontier = np.array([source], dtype=np.int64)
         level = 0
-        reverse = graph.reverse() if strategy == "bottom_up" else None
         while frontier.size:
             if strategy == "scan_free":
                 frontier, _ = self.scan_free_level(status, frontier, level)
             elif strategy == "bottom_up":
                 frontier, _ = self.bottom_up_level(
-                    status, level, reverse_graph=reverse
+                    status, level, reverse_graph=graph.transpose
                 )
             else:
                 raise TraversalError(f"unknown strategy {strategy!r}")

@@ -7,7 +7,9 @@ integers and column indices ("adjacency lists") are 4-byte vertex ids.
 
 The container is immutable after construction; transformation helpers
 (:meth:`CSRGraph.reverse`, :meth:`CSRGraph.with_adjacency_order`) return
-new instances sharing nothing mutable with the original.
+new instances sharing nothing mutable with the original. Every engine
+that needs incoming edges reads the one :attr:`CSRGraph.transpose` a
+graph caches, which is the graph itself when it was built symmetric.
 """
 
 from __future__ import annotations
@@ -104,7 +106,10 @@ class CSRGraph:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     name: str = "graph"
-    _degrees_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Derived data: the degree array, the built transpose of a
+    #: directed graph, and the ``"symmetric"`` flag. Never holds the
+    #: graph itself, so a dropped graph is freed by refcount alone.
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -145,7 +150,13 @@ class CSRGraph:
         counts = np.bincount(src_a, minlength=num_vertices).astype(OFFSET_DTYPE)
         offsets = np.zeros(num_vertices + 1, dtype=OFFSET_DTYPE)
         np.cumsum(counts, out=offsets[1:])
-        return cls(offsets, dst_a.astype(VERTEX_DTYPE), name=name)
+        graph = cls(offsets, dst_a.astype(VERTEX_DTYPE), name=name)
+        if symmetrize:
+            # The edge multiset is closed under flipping and both sides
+            # sort by (src, dst), so reverse() would rebuild these
+            # exact arrays.
+            graph._cache["symmetric"] = True
+        return graph
 
     @classmethod
     def empty(cls, num_vertices: int, *, name: str = "empty") -> "CSRGraph":
@@ -197,12 +208,20 @@ class CSRGraph:
     @property
     def degrees(self) -> np.ndarray:
         """Out-degree of every vertex as an ``int64`` array (cached, read-only)."""
-        cached = self._degrees_cache.get("deg")
+        cached = self._cache.get("deg")
         if cached is None:
             cached = np.diff(self.row_offsets)
             cached.setflags(write=False)
-            self._degrees_cache["deg"] = cached
+            self._cache["deg"] = cached
         return cached
+
+    @property
+    def is_symmetric(self) -> bool:
+        """Whether this graph was built by ``from_edges(symmetrize=True)``.
+
+        Such a graph's arrays equal its transpose's. False proves
+        nothing: a symmetric graph built any other way is not checked."""
+        return self._cache.get("symmetric", False)
 
     @property
     def average_degree(self) -> float:
@@ -238,11 +257,26 @@ class CSRGraph:
     # Transformations
     # ------------------------------------------------------------------
     def reverse(self) -> "CSRGraph":
-        """The transpose graph (every edge flipped)."""
+        """A freshly built transpose graph (every edge flipped)."""
         src, dst = self.to_edge_arrays()
         return CSRGraph.from_edges(
             dst, src, self.num_vertices, name=f"{self.name}^T"
         )
+
+    @property
+    def transpose(self) -> "CSRGraph":
+        """The one transpose every engine shares, built at most once.
+
+        The graph itself when :attr:`is_symmetric`, else :meth:`reverse`
+        built on first use and cached. The cached copy holds no
+        reference back, so a dropped graph is freed without the cyclic
+        GC."""
+        if self.is_symmetric:
+            return self
+        cached = self._cache.get("transpose")
+        if cached is None:
+            cached = self._cache["transpose"] = self.reverse()
+        return cached
 
     def with_adjacency_order(self, order: np.ndarray, *, name: str | None = None) -> "CSRGraph":
         """Return a graph with permuted adjacency storage.

@@ -199,7 +199,6 @@ class MultiGcdBFS:
         #: sensitivity the Graph500 operations teams fight.
         self.straggler_slowdown = dict(straggler_slowdown or {})
         self.direction_alpha = direction_alpha
-        self._reverse: "CSRGraph | None" = None
         self.graph = graph
         self.num_gcds = num_gcds
         self.device = device
@@ -239,13 +238,6 @@ class MultiGcdBFS:
         return self.injector.visit("multigcd.exchange", f"level{level}")
 
     @property
-    def reverse_graph(self) -> CSRGraph:
-        """Transpose adjacency for the bottom-up direction (lazy)."""
-        if self._reverse is None:
-            self._reverse = self.graph.reverse()
-        return self._reverse
-
-    @property
     def warm_bytes(self) -> int:
         """Modelled warm footprint the registry charges for a cached
         engine: the per-GCD partition copies of the CSR plus the
@@ -281,7 +273,7 @@ class MultiGcdBFS:
         )
 
         graph = self.graph
-        incoming = self.reverse_graph
+        incoming = graph.transpose
         part = self.partition
         p = self.num_gcds
         line = self.device.cache_line_bytes

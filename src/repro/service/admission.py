@@ -1,7 +1,7 @@
 """Admission control: bounded queueing and per-request deadlines.
 
 The serving layer refuses work it cannot do in time instead of
-queueing without bound. Two typed rejections, both subclasses of
+queueing without bound. Three typed rejections, all subclasses of
 :class:`~repro.errors.AdmissionError`:
 
 * :class:`~repro.errors.QueueFullError` — the pending queue was at
@@ -11,13 +11,22 @@ queueing without bound. Two typed rejections, both subclasses of
   dispatch time, before any kernel cost is charged). A deadline that
   has *already elapsed when the query arrives* (``deadline_ms <= 0``)
   is rejected at admission instead — queueing it could never help.
+* :class:`~repro.errors.InvalidSourceError` — the source is not a
+  vertex of the query's graph (checked at dispatch time, beside the
+  deadline, so the rest of its coalesced group is served unchanged).
 """
 
 from __future__ import annotations
 
-from repro.errors import DeadlineExceededError, QueueFullError
+from repro.errors import (
+    DeadlineExceededError,
+    InvalidSourceError,
+    QueueFullError,
+    TraversalError,
+)
 from repro.service.config import DEFAULT_CONFIG, NO_OBSERVERS, Observers, ServiceConfig
 from repro.service.request import Query
+from repro.xbfs.common import validate_source
 
 __all__ = ["AdmissionController"]
 
@@ -41,6 +50,7 @@ class AdmissionController:
         self.admitted = 0
         self.rejected_queue_full = 0
         self.rejected_deadline = 0
+        self.rejected_source = 0
 
     def deadline_of(self, query: Query) -> float | None:
         """The query's effective deadline (its own, else the default)."""
@@ -112,9 +122,26 @@ class AdmissionController:
                 f"> deadline {deadline:.3f} ms"
             )
 
+    def check_source(self, query: Query, num_vertices: int) -> None:
+        """Reject a query whose source is not a vertex of its graph."""
+        try:
+            validate_source(query.source, num_vertices)
+        except TraversalError as exc:
+            self.rejected_source += 1
+            self.audit.record(
+                "admission",
+                query.qid,
+                "rejected:source",
+                at_ms=query.arrival_ms,
+                source=repr(query.source),
+                num_vertices=num_vertices,
+            )
+            raise InvalidSourceError(f"query {query.qid}: {exc}") from None
+
     def stats(self) -> dict:
         return {
             "admitted": self.admitted,
             "rejected_queue_full": self.rejected_queue_full,
             "rejected_deadline": self.rejected_deadline,
+            "rejected_source": self.rejected_source,
         }

@@ -60,6 +60,7 @@ class ServiceMetrics:
     rejected_queue_full: int = 0
     rejected_deadline: int = 0
     rejected_quota: int = 0
+    rejected_source: int = 0
     total_traversed_edges: int = 0
     #: Latencies bucketed by the query's QoS class (virtual ms).
     latencies_by_qos: dict[str, list] = field(default_factory=dict)
@@ -204,6 +205,8 @@ class ServiceMetrics:
             self.rejected_deadline += 1
         elif kind == "quota":
             self.rejected_quota += 1
+        elif kind == "source":
+            self.rejected_source += 1
         else:
             raise ValueError(f"unknown rejection kind {kind!r}")
 
@@ -214,6 +217,7 @@ class ServiceMetrics:
             self.rejected_queue_full
             + self.rejected_deadline
             + self.rejected_quota
+            + self.rejected_source
         )
 
     @property
@@ -294,6 +298,12 @@ class ServiceMetrics:
             "rejected_queue_full": self.rejected_queue_full,
             "rejected_deadline": self.rejected_deadline,
             "rejected_quota": self.rejected_quota,
+            # Only once a source is refused: the fingerprinted key set
+            # of a clean trace must not drift.
+            **(
+                {"rejected_source": self.rejected_source}
+                if self.rejected_source else {}
+            ),
             "p50_ms": self.latency_percentile(50),
             "p95_ms": self.latency_percentile(95),
             "p99_ms": self.latency_percentile(99),
@@ -379,7 +389,9 @@ class ServiceMetrics:
             f"rejected:   {self.rejected} "
             f"(queue_full={s['rejected_queue_full']}, "
             f"deadline={s['rejected_deadline']}, "
-            f"quota={s['rejected_quota']})",
+            f"quota={s['rejected_quota']}"
+            + (f", source={self.rejected_source}" if self.rejected_source else "")
+            + ")",
             f"latency:    p50 {s['p50_ms']:.3f} ms  "
             f"p95 {s['p95_ms']:.3f} ms  p99 {s['p99_ms']:.3f} ms  "
             f"(mean {s['mean_latency_ms']:.3f} ms)",

@@ -302,6 +302,13 @@ class GraphRegistry:
         #: version ``i`` into ``i + 1``. Survives eviction so rebuilds
         #: replay every delta.
         self._delta_logs: dict[str, list[GraphDelta]] = {}
+        #: Vertex count of every spec built so far; deltas never
+        #: change it, so it outlives eviction and mutation.
+        self._num_vertices: dict[str, int] = {}
+        #: ``(spec, base graph)`` that :meth:`num_vertices` had to
+        #: build, handed to the next :meth:`_build` so a cold dispatch
+        #: builds its graph once.
+        self._built_base: tuple[str, CSRGraph] | None = None
         #: Negative cache: spec -> bytes it needed when last rejected.
         #: Cleared on budget change and on mutation of the spec.
         self._rejected: dict[str, int] = {}
@@ -370,6 +377,18 @@ class GraphRegistry:
         """Current version of ``spec`` (0 when never mutated)."""
         return self._versions.get(spec, 0)
 
+    def num_vertices(self, spec: str) -> int:
+        """Vertex count of ``spec``, read without touching the cache.
+
+        Leaves the LRU order, the hit/miss counters and the byte budget
+        alone. A spec never built before is built here, on the host
+        only, and the next build reuses that graph."""
+        n = self._num_vertices.get(spec)
+        if n is None:
+            self._built_base = (spec, self._base(spec))
+            n = self._num_vertices[spec] = self._built_base[1].num_vertices
+        return n
+
     def deltas_since(self, spec: str, version: int) -> tuple[GraphDelta, ...]:
         """Mutations that transform ``spec``@``version`` into the
         current version, oldest first. Empty when already current."""
@@ -398,7 +417,9 @@ class GraphRegistry:
     # ------------------------------------------------------------------
     def _build(self, spec: str) -> CSRGraph:
         """Base build plus full delta-log replay → current version."""
-        graph = self._base(spec)
+        built, self._built_base = self._built_base, None
+        graph = built[1] if built is not None and built[0] == spec else self._base(spec)
+        self._num_vertices[spec] = graph.num_vertices
         for delta in self._delta_logs.get(spec, ()):
             graph = apply_delta(graph, delta)
         return graph

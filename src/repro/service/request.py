@@ -108,8 +108,9 @@ class QueryOutcome:
     #: (0 until the spec is first mutated).
     graph_version: int = 0
     #: ``None`` for served queries, else the typed-rejection reason
-    #: (``"queue_full"``, ``"deadline"`` or ``"quota"``) — the ``kind``
-    #: of the :class:`~repro.errors.AdmissionError` that refused it.
+    #: (``"queue_full"``, ``"deadline"``, ``"quota"`` or ``"source"``)
+    #: — the ``kind`` of the :class:`~repro.errors.AdmissionError` that
+    #: refused it.
     rejected: str | None = None
 
     @property

@@ -43,7 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.errors import AdmissionError, DeadlineExceededError, ServiceError
+from repro.errors import AdmissionError, ServiceError
 from repro.service.admission import AdmissionController
 from repro.service.config import DEFAULT_CONFIG, NO_OBSERVERS, Observers, ServiceConfig
 from repro.service.execution import (
@@ -281,14 +281,20 @@ class CoalescingScheduler:
         ready = max(close_ms, max(q.arrival_ms for q in members))
         start = max(worker.busy_until_ms, ready)
 
-        # Deadline gate: drop members whose start slot already misses
-        # their deadline — they never charge kernel time.
+        # Dispatch gate: drop members whose start slot already misses
+        # their deadline, or whose source is not a vertex of the graph —
+        # they never charge kernel time, and one bad source never
+        # fails the batch the others share.
+        num_vertices = None
         live: list[Query] = []
         for q in members:
             try:
                 self.admission.check_deadline(q, start)
-            except DeadlineExceededError:
-                outcome = QueryOutcome(query=q, levels=None, rejected="deadline")
+                if num_vertices is None:
+                    num_vertices = self.registry.num_vertices(anchor.graph)
+                self.admission.check_source(q, num_vertices)
+            except AdmissionError as exc:
+                outcome = QueryOutcome(query=q, levels=None, rejected=exc.kind)
                 self.outcomes.append(outcome)
                 self.metrics.record_outcome(outcome)
                 self._observe_outcome(outcome, start)

@@ -49,6 +49,8 @@ WORD_BITS = 64
 
 _WORD = np.uint64
 _ONE = np.uint64(1)
+#: Vertices per block of the level decode's final transpose.
+_TRANSPOSE_BLOCK = 1024
 
 
 def words_for(num_sources: int) -> int:
@@ -148,13 +150,24 @@ def pack_rows(bools: np.ndarray) -> np.ndarray:
     return padded.view("<u8").astype(_WORD, copy=False)
 
 
-def _unpack_bits_u8(packed: np.ndarray, num_sources: int) -> np.ndarray:
-    """Unpack bitmap rows to ``(rows, num_sources)`` uint8 zeros/ones."""
+def _unpack_padded(packed: np.ndarray, num_sources: int) -> np.ndarray:
+    """Unpack bitmap rows to contiguous uint8 zeros/ones, every bit of
+    each byte that holds a valid source: ``(rows, 8 * ceil(k / 8))``."""
+    nbytes = -(-num_sources // 8)
     as_bytes = np.ascontiguousarray(packed.astype("<u8", copy=False)).view(
         np.uint8
     )
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :num_sources]
+    if nbytes != as_bytes.shape[1]:
+        as_bytes = np.ascontiguousarray(as_bytes[:, :nbytes])
+    # One flat run: unpacking row by row along an axis is several
+    # times slower.
+    bits = np.unpackbits(as_bytes.reshape(-1), bitorder="little")
+    return bits.reshape(packed.shape[0], 8 * nbytes)
+
+
+def _unpack_bits_u8(packed: np.ndarray, num_sources: int) -> np.ndarray:
+    """Unpack bitmap rows to ``(rows, num_sources)`` uint8 zeros/ones."""
+    return _unpack_padded(packed, num_sources)[:, :num_sources]
 
 
 def unpack_rows(packed: np.ndarray, num_sources: int) -> np.ndarray:
@@ -204,24 +217,42 @@ def counter_levels(
     the traversal depth and decode to -1 instead.
 
     The accumulation runs vertex-major — the planes' own layout, so
-    every pass is over contiguous memory — as plain weighted integer
-    adds of the unpacked 0/1 bytes (an order of magnitude cheaper than
-    masked ``where`` stores), and pays a single widening transpose at
-    the very end. An int16 accumulator covers any depth 15 planes can
-    encode; deeper traversals (degenerate path-like graphs) fall back
-    to int32.
+    every pass is over contiguous memory. Up to 7 planes (depth < 128,
+    every real traversal) each plane's unpacked 0/1 bytes are shifted
+    into place and OR-ed into an int8 byte, and unreached pairs are
+    OR-ed to 0xFF, which is -1; byte-wide ops with no casting. Deeper
+    traversals (degenerate path-like graphs) add into an int16, or
+    int32 past 15 planes. One widening transpose at the very end makes
+    the result C-contiguous.
     """
-    acc_dtype = np.int32 if len(planes) > 15 else np.int16
-    acc = np.zeros((num_vertices, num_sources), dtype=acc_dtype)
-    for j, plane in enumerate(planes):
-        bits = _unpack_bits_u8(plane, num_sources)
-        if j == 0:
-            acc += bits
-        elif j < 8:
-            np.left_shift(bits, j, out=bits)
-            acc += bits
-        else:
-            acc += bits.astype(acc_dtype) << acc_dtype(j)
-    if unreached is not None:
-        acc[unreached] = -1
-    return acc.T.astype(np.int32)
+    if len(planes) < 8:
+        # Padded to whole bytes so every pass is contiguous; the
+        # padding columns are dropped before the transpose.
+        acc = np.zeros(
+            (num_vertices, 8 * -(-num_sources // 8)), dtype=np.int8
+        )
+        raw = acc.view(np.uint8)
+        for j, plane in enumerate(planes):
+            bits = _unpack_padded(plane, num_sources)
+            bits <<= np.uint8(j)
+            raw |= bits
+        if unreached is not None:
+            raw[:, :num_sources] |= np.negative(
+                np.asarray(unreached, dtype=bool).view(np.uint8)
+            )
+        acc = acc[:, :num_sources]
+    else:
+        acc_dtype = np.int32 if len(planes) > 15 else np.int16
+        acc = np.zeros((num_vertices, num_sources), dtype=acc_dtype)
+        for j, plane in enumerate(planes):
+            acc += _unpack_bits_u8(plane, num_sources).astype(acc_dtype) << acc_dtype(j)
+        if unreached is not None:
+            acc[unreached] = -1
+    # Source-major and C-contiguous, so each source's row is one
+    # contiguous read. A plain ``acc.T`` copy walks one cache line per
+    # element; copying L2-sized vertex blocks keeps the transpose in
+    # cache.
+    levels = np.empty((num_sources, num_vertices), dtype=np.int32)
+    for lo in range(0, num_vertices, _TRANSPOSE_BLOCK):
+        levels[:, lo : lo + _TRANSPOSE_BLOCK] = acc[lo : lo + _TRANSPOSE_BLOCK].T
+    return levels

@@ -9,6 +9,14 @@ a single time; the win over 64 sequential runs is exactly the sharing
 factor of the batch. The 64-bit word is also a natural fit for the
 MI250X's 64-lane wavefronts (and exercises ``__popcll`` again).
 
+The modelled kernel always pushes: it expands the union frontier's
+out-edges. The host is free to compute the same fresh bits either way,
+so on a symmetric graph (its own transpose, see
+:attr:`~repro.graph.csr.CSRGraph.transpose`) a dense level is pulled
+instead — every vertex not yet visited by all sources OR-reduces its
+in-neighbours' frontier words — whenever that touches fewer edges.
+Directed graphs always push and never build a transpose.
+
 This is the library's optional extension of the paper's n-to-n
 measurement loop; :class:`ConcurrentBFS` produces per-source level
 arrays identical to running :class:`~repro.xbfs.driver.XBFS` once per
@@ -35,7 +43,8 @@ from repro.gcd.simulator import GCD
 from repro.graph.csr import CSRGraph
 from repro.perf import NULL_PROFILER, HostProfiler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.xbfs.common import gather_neighbors, segment_ids, segment_lines_touched
+from repro.xbfs import bitmap as bm
+from repro.xbfs.common import gather_neighbor_ids, segment_lines_touched
 
 __all__ = [
     "ConcurrentBFS",
@@ -112,7 +121,9 @@ class ConcurrentResult:
     #: ``levels[i]`` is source *i*'s level array (-1 unreachable).
     levels: np.ndarray
     elapsed_ms: float
-    #: Union-frontier edges actually expanded.
+    #: Union-frontier out-edges the modelled push kernel expands. The
+    #: host may pull a level instead and touch other edges; this counts
+    #: the modelled kernel's edges, never the host's.
     union_edges: int
     #: Σ over sources of the edges a solo run would expand.
     solo_edges: int
@@ -230,11 +241,15 @@ class ConcurrentBFS:
         n = graph.num_vertices
         visited = np.zeros(n, dtype=np.uint64)
         frontier_bits = np.zeros(n, dtype=np.uint64)
-        levels = np.full((k, n), -1, dtype=np.int32)
         bit_of = np.uint64(1) << np.arange(k, dtype=np.uint64)
         visited[sources] |= bit_of
         frontier_bits[sources] |= bit_of
-        levels[np.arange(k), sources] = 0
+        # One status word with every source's bit set.
+        every = ~np.uint64(0) >> np.uint64(MAX_CONCURRENT - k)
+        # Bit-sliced level counter: every level adds one to each pair
+        # still unvisited at its top, so a pair's count is its level.
+        # Decoded once, after the loop.
+        planes: list[np.ndarray] = []
 
         line = gcd.device.cache_line_bytes
         level = 0
@@ -248,11 +263,14 @@ class ConcurrentBFS:
             active = np.flatnonzero(frontier_bits).astype(np.int64)
             if active.size == 0:
                 break
+            # Depends only on the level-entry state, so a restarted
+            # level never adds twice.
+            bm.counter_add(planes, (every & ~visited)[:, np.newaxis])
             if self.injector is not None:
                 # Level-entry checkpoint: an injected fault rolls the
-                # bit-status planes and edge counters back and replays
-                # only this level.
-                snap = (visited.copy(), frontier_bits.copy(), levels.copy(),
+                # visited and frontier words and the edge counters back
+                # and replays only this level.
+                snap = (visited.copy(), frontier_bits.copy(),
                         union_edges, solo_edges)
             with tracer.span(
                 "bfs.level",
@@ -265,34 +283,23 @@ class ConcurrentBFS:
                 while True:
                     try:
                         with prof.timer("cb_expand"):
-                            neighbors, owner = gather_neighbors(graph, active)
-                            e_union = int(neighbors.size)
+                            active_degs = degs[active]
+                            e_union = int(active_degs.sum())
                             union_edges += e_union
                             # A solo run would expand each (source,
                             # vertex) pair separately.
                             popcounts = np.bitwise_count(
                                 frontier_bits[active]
                             ).astype(np.int64)
-                            solo_edges += int((popcounts * degs[active]).sum())
-
-                            # Propagate the frontier bits along the
-                            # gathered edges.
-                            incoming = np.zeros(n, dtype=np.uint64)
-                            np.bitwise_or.at(
-                                incoming, neighbors, frontier_bits[active][owner]
+                            solo_edges += int((popcounts * active_degs).sum())
+                            fresh = self._expand(
+                                active, e_union, frontier_bits, visited, every
                             )
-                            fresh = incoming & ~visited
                             visited |= fresh
-                            newly = np.flatnonzero(fresh).astype(np.int64)
-                            for i in range(k):
-                                mine = newly[
-                                    (fresh[newly] >> np.uint64(i)) & np.uint64(1)
-                                    == 1
-                                ]
-                                levels[i, mine] = level + 1
+                            n_fresh = int(np.count_nonzero(fresh))
 
                         adj_lines = segment_lines_touched(
-                            graph.row_offsets[active], degs[active],
+                            graph.row_offsets[active], active_degs,
                             element_bytes=4, line_bytes=line,
                         )
                         gcd.launch(
@@ -306,8 +313,8 @@ class ConcurrentBFS:
                                 # 8-byte bit-status words, read per edge,
                                 # OR-written per fresh discovery.
                                 rand_read("bit_status", e_union, n, 8),
-                                rand_write("bit_status", int(newly.size), int(newly.size), 8),
-                                seq_write("next_frontier", int(newly.size), 8),
+                                rand_write("bit_status", n_fresh, n_fresh, 8),
+                                seq_write("next_frontier", n_fresh, 8),
                             ],
                             work=ComputeWork(flat_ops=float(e_union + active.size)),
                             work_items=int(active.size),
@@ -329,8 +336,7 @@ class ConcurrentBFS:
                             ) from exc
                         visited[:] = snap[0]
                         frontier_bits[:] = snap[1]
-                        levels[:] = snap[2]
-                        union_edges, solo_edges = snap[3], snap[4]
+                        union_edges, solo_edges = snap[2], snap[3]
                         gcd.quiesce()
                     else:
                         break
@@ -338,9 +344,10 @@ class ConcurrentBFS:
             prof.count("levels/concurrent")
             level += 1
 
+        unreached = bm.unpack_rows((every & ~visited)[:, np.newaxis], k)
         return ConcurrentResult(
             sources=sources,
-            levels=levels,
+            levels=bm.counter_levels(planes, n, k, unreached=unreached),
             elapsed_ms=gcd.elapsed_ms,
             union_edges=union_edges,
             solo_edges=solo_edges,
@@ -348,3 +355,58 @@ class ConcurrentBFS:
             paid_warmup=paid_warmup,
             level_restarts=level_restarts,
         )
+
+    def _expand(
+        self,
+        active: np.ndarray,
+        e_union: int,
+        frontier_bits: np.ndarray,
+        visited: np.ndarray,
+        every: np.uint64,
+    ) -> np.ndarray:
+        """The fresh (vertex, source) bits of one level, by whichever
+        direction touches fewer edges on the host.
+
+        Push walks the ``e_union`` out-edges of ``active``. On a
+        symmetric graph the transpose is free, so when the vertices not
+        yet visited by ``every`` source have fewer in-edges than that,
+        they pull instead. Both give the same bits.
+        """
+        graph = self.graph
+        if graph.is_symmetric:
+            cand = np.flatnonzero(visited != every)
+            cand_degs = graph.transpose.degrees[cand]
+            if int(cand_degs.sum()) < e_union:
+                return self._pull(cand, cand_degs, frontier_bits, visited)
+        return self._push(active, frontier_bits, visited)
+
+    def _push(
+        self, active: np.ndarray, frontier_bits: np.ndarray, visited: np.ndarray
+    ) -> np.ndarray:
+        """Scatter-OR each active vertex's word along its out-edges."""
+        graph = self.graph
+        incoming = np.zeros(graph.num_vertices, dtype=np.uint64)
+        bm.scatter_or_rows(
+            incoming,
+            gather_neighbor_ids(graph, active),
+            np.repeat(frontier_bits[active], graph.degrees[active]),
+        )
+        return bm.fresh_mask(incoming, visited)
+
+    def _pull(
+        self,
+        cand: np.ndarray,
+        cand_degs: np.ndarray,
+        frontier_bits: np.ndarray,
+        visited: np.ndarray,
+    ) -> np.ndarray:
+        """OR-reduce each candidate's in-neighbour words in one
+        ``reduceat``; vertices outside ``cand`` are visited by every
+        source and stay zero."""
+        rev = self.graph.transpose
+        incoming = bm.segment_or_rows(
+            frontier_bits[gather_neighbor_ids(rev, cand), np.newaxis], cand_degs
+        )[:, 0]
+        fresh = np.zeros(rev.num_vertices, dtype=np.uint64)
+        fresh[cand] = bm.fresh_mask(incoming, visited[cand])
+        return fresh

@@ -14,6 +14,7 @@ point; ``run_many`` is the paper's "n to n" measurement loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -214,24 +215,29 @@ class XBFS:
         self.recovery = recovery or DEFAULT_RECOVERY
         self._scratch = ScratchPool()
         self._gcd: GCD | None = None
-        self._reverse: CSRGraph | None = None
 
-    @property
+    @cached_property
     def reverse_graph(self) -> CSRGraph:
-        """Transpose adjacency (CSC) for the bottom-up kernels, built
-        lazily and re-arranged with the same policy as the forward
-        graph. For symmetric inputs it equals the forward graph."""
-        if self._reverse is None:
-            rev = self._base_graph.reverse()
-            self._reverse = rearrange_by_degree(rev) if self._rearranged else rev
-        return self._reverse
+        """Transpose adjacency (CSC) for the bottom-up kernels.
+
+        The input graph's shared :attr:`~repro.graph.csr.CSRGraph.transpose`,
+        re-arranged with the same policy as the forward graph. A
+        symmetric input is its own transpose, so this is the forward
+        graph and costs nothing."""
+        rev = self._base_graph.transpose
+        if rev is self._base_graph:
+            return self.graph
+        return rearrange_by_degree(rev) if self._rearranged else rev
 
     @property
     def warm_bytes(self) -> int:
         """Modelled warm footprint the registry charges for a cached
         engine: the (eventual) reverse CSR plus the int32 status array.
-        Frozen at attach time on purpose — a lazily-built reverse graph
-        must not desync the registry's running byte total."""
+        The host shares one transpose per graph (none at all for a
+        symmetric one), but the modelled device still holds its own
+        copy, so the charge is unchanged on purpose. Frozen at attach
+        time — a lazily-built reverse graph must not desync the
+        registry's running byte total."""
         return self.graph.memory_bytes + 4 * self.graph.num_vertices
 
     # ------------------------------------------------------------------

@@ -174,22 +174,18 @@ class LinAlgBatchBFS:
             injector.bind_tracer(self.tracer)
         self.recovery = recovery or DEFAULT_RECOVERY
         self._gcd: GCD | None = None
-        #: Reverse CSR for the pull product, built on first use (a
-        #: pinned-push run never pays for it).
-        self._reverse: CSRGraph | None = None
 
     @property
     def warm_bytes(self) -> int:
         """Modelled warm footprint the registry charges for a cached
         engine: the (eventual) reverse CSR for the pull product plus a
-        64-bit bitmap word per vertex of scratch."""
+        64-bit bitmap word per vertex of scratch. The pull product reads
+        the graph's shared transpose on the host (the graph itself when
+        symmetric, built on first pull otherwise), but the charge keeps
+        the modelled device copy on purpose."""
         return self.graph.memory_bytes + 8 * self.graph.num_vertices
 
     # ------------------------------------------------------------------
-    def _reverse_graph(self) -> CSRGraph:
-        if self._reverse is None:
-            self._reverse = self.graph.reverse()
-        return self._reverse
 
     def _choose_direction(
         self,
@@ -465,7 +461,7 @@ class LinAlgBatchBFS:
         frontier's — the same asymmetry XBFS's bottom-up switch buys.
         """
         graph = self.graph
-        rev = self._reverse_graph()
+        rev = graph.transpose
         n = graph.num_vertices
         words = frontier.shape[1]
         missing = bm.fresh_mask(full[np.newaxis, :], visited)

@@ -36,6 +36,7 @@ class TestQueueDepth:
             "admitted": 0,
             "rejected_queue_full": 3,
             "rejected_deadline": 0,
+            "rejected_source": 0,
         }
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import BatchSourceError, RecoveryExhaustedError, TraversalError
 from repro.faults import FaultPlan, FaultRule, RecoveryPolicy
+from repro.graph.csr import CSRGraph
 from repro.graph.stats import bfs_levels_reference, pick_sources
 from repro.xbfs import bitmap as bm
 from repro.xbfs.classifier import AdaptiveClassifier
@@ -176,9 +177,12 @@ class TestSharingAndAccounting:
         assert second.traversed_edges == second.solo_edges
 
     def test_pull_never_built_for_pinned_push(self, small_rmat):
-        engine = LinAlgBatchBFS(small_rmat, direction="push")
-        engine.run(pick_sources(small_rmat, 32, seed=4))
-        assert engine._reverse is None
+        # An unflagged copy, so its transpose is not free: a pinned-push
+        # run must never build it.
+        graph = CSRGraph(small_rmat.row_offsets, small_rmat.col_indices)
+        engine = LinAlgBatchBFS(graph, direction="push")
+        engine.run(pick_sources(graph, 32, seed=4))
+        assert "transpose" not in graph._cache
 
 
 class TestFaultRecovery:

@@ -10,6 +10,7 @@ markdown reference. Deterministic; re-run after API changes:
 
 from __future__ import annotations
 
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -131,8 +132,9 @@ def describe(module, name: str) -> str | None:
                 summary = first_line(meth)
                 if summary:
                     lines.append(f"  - `.{meth_name}{signature_of(meth)}` — {summary}")
-            elif isinstance(meth, property):
-                summary = first_line(meth.fget) if meth.fget else ""
+            elif isinstance(meth, (property, functools.cached_property)):
+                fget = meth.fget if isinstance(meth, property) else meth.func
+                summary = first_line(fget) if fget else ""
                 if summary:
                     lines.append(f"  - `.{meth_name}` *(property)* — {summary}")
         return "\n".join(lines)

@@ -13,8 +13,11 @@
 #                                 # routing differential contract, the
 #                                 # one ServiceConfig and its typed
 #                                 # validation, router memory release,
-#                                 # the 2D tile-accounting differential
-#                                 # and typed engine-source validation)
+#                                 # the 2D tile-accounting differential,
+#                                 # typed engine-source validation, the
+#                                 # per-query bad-source gate, the
+#                                 # shared transpose and the concurrent
+#                                 # engine's host push/pull differential)
 #   tools/run_tests.sh cluster    # the sharded multi-replica layer
 #                                 # (placement, QoS/quotas, replica
 #                                 # death, work stealing, one config
@@ -22,9 +25,12 @@
 #                                 # garbage from a dropped router) +
 #                                 # the scale-out bench
 #   tools/run_tests.sh linalg     # the bitmap linear-algebra tier: the
-#                                 # batch engine, its routing contract
-#                                 # and the batch-width bench vs the
-#                                 # concurrent engine
+#                                 # batch engine, its routing contract,
+#                                 # the shared transpose its pull reads,
+#                                 # the concurrent engine's host
+#                                 # push/pull against its push-only
+#                                 # reference, and the batch-width bench
+#                                 # vs the concurrent engine
 #   tools/run_tests.sh multigcd-scaling
 #                                 # the exchange plane: codec property
 #                                 # tests, overlap accounting, the 2D
@@ -40,7 +46,9 @@
 #                                 # retired versions without the
 #                                 # cyclic GC, incremental BFS repair,
 #                                 # the repair-vs-recompute
-#                                 # differential wall and the
+#                                 # differential wall, the transpose of
+#                                 # mutated versions, push-only
+#                                 # concurrent BFS on them, and the
 #                                 # delta-size crossover bench
 #   tools/run_tests.sh obs        # the SLO engine, decision audit,
 #                                 # bounded-metrics sketch and health
@@ -79,6 +87,7 @@ case "$tier" in
     python -m pytest tests/multigcd tests/service \
       tests/service/test_config.py tests/service/test_registry_memory.py \
       tests/multigcd/test_grid2d_tiles.py tests/xbfs/test_validate_source.py \
+      tests/graph/test_transpose.py tests/xbfs/test_concurrent_pull.py \
       -m "not slow" "$@"
     ;;
   cluster)
@@ -87,7 +96,8 @@ case "$tier" in
     python -m pytest benchmarks/bench_cluster_scaleout.py benchmarks/bench_routing.py -s "$@"
     ;;
   linalg)
-    python -m pytest tests/xbfs/test_linalg_batch.py tests/service/test_linalg_routing.py "$@"
+    python -m pytest tests/xbfs/test_linalg_batch.py tests/service/test_linalg_routing.py \
+      tests/graph/test_transpose.py tests/xbfs/test_concurrent_pull.py "$@"
     python -m pytest benchmarks/bench_linalg_batch.py -s "$@"
     ;;
   multigcd-scaling)
@@ -100,7 +110,8 @@ case "$tier" in
     python -m pytest tests/graph/test_delta.py tests/graph/test_delta_splice.py \
       tests/xbfs/test_repair.py tests/service/test_mutation.py \
       tests/service/test_mutation_differential.py \
-      tests/service/test_registry_memory.py "$@"
+      tests/service/test_registry_memory.py \
+      tests/graph/test_transpose.py tests/xbfs/test_concurrent_pull.py "$@"
     python -m pytest benchmarks/bench_mutation.py -s "$@"
     ;;
   obs)
